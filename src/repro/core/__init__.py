@@ -6,7 +6,6 @@ from repro.core.engine import (
     SequentialEngine,
     SolverEngine,
     get_engine,
-    resolve_coupling_backend,
 )
 from repro.core.machine import MSROPM, solve_coloring
 from repro.core.mapping import ProblemMapping, identity_mapping, map_to_kings_fabric
@@ -42,7 +41,6 @@ __all__ = [
     "SequentialEngine",
     "BatchedEngine",
     "get_engine",
-    "resolve_coupling_backend",
     "ProblemMapping",
     "identity_mapping",
     "map_to_kings_fabric",

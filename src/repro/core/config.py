@@ -2,9 +2,11 @@
 
 :class:`MSROPMConfig` collects every knob of the machine: the circuit-level
 strengths (coupling, SHIL), the control timeline (the paper's 5/20/5 ns plan),
-the phase-noise level, and the numerical settings of the phase-domain
-simulation.  The defaults reproduce the paper's operating point for 4-coloring
-on King's graphs.
+the phase-noise level, the numerical settings of the phase-domain
+simulation, and the two execution axes — the replica engine (batched or
+sequential) and the precision tier (exact or throughput).  The defaults
+reproduce the paper's operating point for 4-coloring on King's graphs.
+Every field is part of a runtime job's content hash.
 """
 
 from __future__ import annotations
@@ -70,14 +72,8 @@ class MSROPMConfig:
         Replica execution engine used by :meth:`repro.core.machine.MSROPM.solve`:
         ``"batched"`` (default) advances all iterations as one vectorized
         integration, ``"sequential"`` runs them one at a time (the original
-        loop).  Per seed the two produce bit-identical results on the sparse
-        coupling backend (chosen automatically for every sparse graph,
-        including all King's graphs); the dense backend is numerically
-        equivalent to floating-point reordering.
-    coupling_backend:
-        How the batched engine represents coupling matrices: ``"sparse"``
-        (CSR / block-diagonal CSR), ``"dense"`` (group-masked GEMMs), or
-        ``"auto"`` (default — dense only for large, dense graphs).
+        loop).  On the exact precision tier the two produce bit-identical
+        results per seed.
     seed:
         Base RNG seed for the run (per-iteration seeds are derived from it).
     precision:
@@ -104,7 +100,6 @@ class MSROPMConfig:
     stage2_reinit_jitter: float = 0.3
     frequency_detuning_std: float = 0.0
     engine: str = "batched"
-    coupling_backend: str = "auto"
     seed: Optional[int] = None
     precision: str = "exact"
 
@@ -112,8 +107,6 @@ class MSROPMConfig:
     ENGINE_NAMES = ("sequential", "batched")
     #: Precision tiers accepted by :attr:`precision`.
     PRECISION_NAMES = ("exact", "throughput")
-    #: Coupling backends accepted by :attr:`coupling_backend`.
-    COUPLING_BACKENDS = ("auto", "sparse", "dense")
 
     #: Coupling strengths above this level would stall a real ROSC (Sec. 2.3).
     MAX_COUPLING_STRENGTH: float = 0.5
@@ -152,10 +145,6 @@ class MSROPMConfig:
         if self.engine not in self.ENGINE_NAMES:
             raise ConfigurationError(
                 f"engine must be one of {self.ENGINE_NAMES}, got {self.engine!r}"
-            )
-        if self.coupling_backend not in self.COUPLING_BACKENDS:
-            raise ConfigurationError(
-                f"coupling_backend must be one of {self.COUPLING_BACKENDS}, got {self.coupling_backend!r}"
             )
         if self.precision not in self.PRECISION_NAMES:
             raise ConfigurationError(

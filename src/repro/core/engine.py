@@ -7,19 +7,18 @@ together.  This module is the seam between the machine and that choice:
 
 * :class:`SequentialEngine` runs one iteration at a time through
   :meth:`repro.core.machine.MSROPM.run_iteration` — the original behaviour,
-  and the reference the batched path is tested against.
+  the exact tier's in-process reference, and the only engine that records
+  trajectories.
 * :class:`BatchedEngine` (the default) stacks all R iterations into one
-  ``(R, N)`` phase array and advances every replica with a single sparse or
-  dense product per integrator step.  Per-replica seeded RNG streams
-  (:class:`repro.rng.ReplicaRNG`) keep results bit-identical to the
-  sequential path for the same seeds on the sparse backend, and numerically
-  equivalent on the dense backend.
+  ``(R, N)`` phase array and advances every replica with a single sparse
+  product per integrator step, through the one batched stage body of
+  :class:`repro.core.stages.StageExecutor`.  On the exact tier, per-replica
+  seeded RNG streams (:class:`repro.rng.ReplicaRNG`) keep results
+  bit-identical to the sequential engine for the same seeds; the throughput
+  tier runs the same body in float32 with one batched noise stream.
 
 Engines are selected by name via ``MSROPMConfig.engine`` (or per call via
-``MSROPM.solve(engine=...)``); the batched engine additionally chooses its
-coupling representation — CSR for sparse graphs, group-masked GEMMs for dense
-ones — from the problem's edge density unless pinned by
-``MSROPMConfig.coupling_backend``.
+``MSROPM.solve(engine=...)``).
 """
 
 from __future__ import annotations
@@ -31,45 +30,13 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
-from repro.core.metrics import coloring_accuracy
 from repro.core.results import IterationResult, StageResult
 from repro.dynamics.batched import ThroughputOptions
 from repro.dynamics.noise import perturbed_phases, random_initial_phases
-from repro.graphs.graph import Graph
 from repro.rng import ReplicaRNG, ThroughputRNG, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.machine import MSROPM
-
-#: Graphs below this node count always use the sparse backend (the dense
-#: GEMM path only pays off at scale, and small problems keep the
-#: bit-identical sparse arithmetic).
-DENSE_MIN_NODES = 32
-
-#: Edge density (2E / N(N-1)) at or above which ``auto`` picks the dense backend.
-DENSE_DENSITY_THRESHOLD = 0.5
-
-
-def resolve_coupling_backend(backend: str, graph: Graph) -> str:
-    """Resolve an ``auto`` coupling backend to ``sparse`` or ``dense``.
-
-    ``auto`` picks dense only for graphs that are both large enough for GEMMs
-    to beat CSR indirection and dense enough that the adjacency structure
-    carries no useful sparsity.  All of the paper's King's graphs (density
-    <= 0.24) resolve to sparse.
-    """
-    if backend in ("sparse", "dense"):
-        return backend
-    if backend != "auto":
-        raise ConfigurationError(
-            f"coupling_backend must be one of {MSROPMConfig.COUPLING_BACKENDS}, got {backend!r}"
-        )
-    num_nodes = graph.num_nodes
-    if num_nodes < DENSE_MIN_NODES:
-        return "sparse"
-    density = 2.0 * graph.num_edges / (num_nodes * (num_nodes - 1))
-    return "dense" if density >= DENSE_DENSITY_THRESHOLD else "sparse"
-
 
 class SolverEngine(ABC):
     """Strategy for executing the independent iterations of one solve."""
@@ -128,27 +95,18 @@ class SequentialEngine(SolverEngine):
 class BatchedEngine(SolverEngine):
     """Advances all iterations as one ``(R, N)`` vectorized integration.
 
+    Every solve runs through the machine's cached :class:`StageExecutor`
+    (coupling plans, direct kernels, final-state integration) plus
+    replica-vectorized stage scoring and coloring accuracies.
+
     Parameters
     ----------
-    coupling_backend:
-        ``"sparse"``, ``"dense"``, or ``"auto"``; ``None`` (default) defers to
-        the machine's ``MSROPMConfig.coupling_backend``.
-    fast_path:
-        ``True`` (default) runs the precompiled hot path: the machine's
-        cached :class:`StageExecutor` (coupling plans, direct kernels,
-        final-state integration) plus replica-vectorized stage scoring and
-        coloring accuracies.  ``False`` replays the pre-overhaul engine body
-        — per-stage operator construction, recorded trajectories, per-replica
-        Python scoring — which is the reference the fast path is proven
-        bit-identical against and the baseline the hot-path benchmark times.
     precision:
         ``"exact"``, ``"throughput"``, or ``None`` (default) to defer to the
         machine's ``MSROPMConfig.precision``.  The throughput tier trades the
         bit-identity contract for speed: float32 state and CSR operators, one
         batched noise stream for all replicas (statistically equivalent
-        accuracy, enforced by the equivalence harness).  It requires the fast
-        path and the sparse coupling backend (``auto`` resolutions to dense
-        are forced back to sparse; an explicit ``"dense"`` pin is an error).
+        accuracy, enforced by the equivalence harness).
     throughput_options:
         Relaxation switches of the throughput tier
         (:class:`repro.dynamics.batched.ThroughputOptions`); ``None`` means
@@ -159,22 +117,13 @@ class BatchedEngine(SolverEngine):
 
     def __init__(
         self,
-        coupling_backend: Optional[str] = None,
-        fast_path: bool = True,
         precision: Optional[str] = None,
         throughput_options: Optional[ThroughputOptions] = None,
     ) -> None:
-        if coupling_backend is not None and coupling_backend not in MSROPMConfig.COUPLING_BACKENDS:
-            raise ConfigurationError(
-                f"coupling_backend must be one of {MSROPMConfig.COUPLING_BACKENDS}, "
-                f"got {coupling_backend!r}"
-            )
         if precision is not None and precision not in MSROPMConfig.PRECISION_NAMES:
             raise ConfigurationError(
                 f"precision must be one of {MSROPMConfig.PRECISION_NAMES}, got {precision!r}"
             )
-        self.coupling_backend = coupling_backend
-        self.fast_path = fast_path
         self.precision = precision
         self.throughput_options = throughput_options
 
@@ -183,22 +132,7 @@ class BatchedEngine(SolverEngine):
         num_replicas = len(seeds)
         num = machine.num_oscillators
         precision = self.precision if self.precision is not None else config.precision
-        backend = resolve_coupling_backend(
-            self.coupling_backend or config.coupling_backend, machine.graph
-        )
         if precision == "throughput":
-            if not self.fast_path:
-                raise ConfigurationError(
-                    "precision='throughput' requires the batched fast path"
-                )
-            if (self.coupling_backend or config.coupling_backend) == "dense":
-                raise ConfigurationError(
-                    "precision='throughput' runs on the sparse coupling backend; "
-                    "remove the explicit coupling_backend='dense' pin"
-                )
-            # The float32 CSR kernels are sparse-only; an auto resolution to
-            # dense falls back to sparse rather than silently switching tiers.
-            backend = "sparse"
             options = (
                 self.throughput_options
                 if self.throughput_options is not None
@@ -209,15 +143,10 @@ class BatchedEngine(SolverEngine):
                 if options.batched_rng
                 else ReplicaRNG([make_rng(seed) for seed in seeds])
             )
-            executor = machine.batched_executor(
-                backend,
-                fast_path=True,
-                precision="throughput",
-                throughput_options=options,
-            )
+            executor = machine.batched_executor("throughput", options)
         else:
             rng = ReplicaRNG([make_rng(seed) for seed in seeds])
-            executor = machine.batched_executor(backend, fast_path=self.fast_path)
+            executor = machine.batched_executor()
 
         phases = random_initial_phases(num, rng)  # (R, N)
         group_values = np.zeros((num_replicas, num), dtype=int)
@@ -236,38 +165,25 @@ class BatchedEngine(SolverEngine):
                 + config.timing.annealing
                 + config.timing.shil_settling
             )
-            if self.fast_path:
-                for replica, record in enumerate(
-                    machine._score_stage_batch(stage_index, bits, group_values)
-                ):
-                    stage_records[replica].append(record)
-            else:
-                for replica in range(num_replicas):
-                    stage_records[replica].append(
-                        machine._score_stage(stage_index, bits[replica], group_values[replica])
-                    )
+            for replica, record in enumerate(
+                machine._score_stage_batch(stage_index, bits, group_values)
+            ):
+                stage_records[replica].append(record)
             group_values = group_values + bits * (2 ** (stage_index - 1))
 
-        accuracies: Optional[List[float]] = None
-        if self.fast_path:
-            accuracies = machine._batch_coloring_accuracies(group_values)
+        accuracies = machine._batch_coloring_accuracies(group_values)
         results: List[IterationResult] = []
         for replica in range(num_replicas):
             stage_results = stage_records[replica]
             if stage_results:
                 stage_results[-1].final_phases = np.array(phases[replica], dtype=float)
-            coloring = machine._decode_coloring(group_values[replica])
             seed = seeds[replica]
             results.append(
                 IterationResult(
                     iteration_index=replica,
                     seed=int(seed) if seed is not None else -1,
-                    coloring=coloring,
-                    accuracy=(
-                        accuracies[replica]
-                        if accuracies is not None
-                        else coloring_accuracy(machine.graph, coloring)
-                    ),
+                    coloring=machine._decode_coloring(group_values[replica]),
+                    accuracy=accuracies[replica],
                     stage_results=stage_results,
                     run_time=config.total_run_time,
                 )

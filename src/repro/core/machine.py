@@ -129,33 +129,27 @@ class MSROPM:
         return self._stage1_reference_cut
 
     def batched_executor(
-        self,
-        coupling_backend: str,
-        fast_path: bool = True,
-        precision: str = "exact",
-        throughput_options=None,
+        self, precision: str = "exact", throughput_options=None
     ) -> StageExecutor:
         """The machine's cached batched :class:`StageExecutor`.
 
-        Built once per ``(backend, fast_path, precision, options)`` key and
-        reused across solves, so the executor's precompiled
-        :class:`~repro.core.stages.CouplingPlan` (stage-1 CSR, kernel buffers,
-        dense base matrix) survives from one solve to the next — and, through
-        the runtime's per-worker machine memo, from one job to the next.  The
-        executor is stateless with respect to a solve's data, so sharing it
-        cannot couple solves.  Exact and throughput tiers get distinct
-        executors (their plans hold different-dtype operators).
+        Built once per ``(precision, options)`` key and reused across solves,
+        so the executor's precompiled
+        :class:`~repro.core.stages.CouplingPlan` (stage-1 CSR, kernel buffers)
+        survives from one solve to the next — and, through the runtime's
+        per-worker machine memo, from one job to the next.  The executor is
+        stateless with respect to a solve's data, so sharing it cannot couple
+        solves.  Exact and throughput tiers get distinct executors (their
+        plans hold different-dtype operators).
         """
         cache = self.__dict__.setdefault("_executor_cache", {})
-        key = (coupling_backend, fast_path, precision, throughput_options)
+        key = (precision, throughput_options)
         if key not in cache:
             cache[key] = StageExecutor(
                 config=self.config,
                 edge_index=self._edge_index,
                 num_oscillators=self.num_oscillators,
                 frequency_detuning=self._frequency_detuning,
-                coupling_backend=coupling_backend,
-                fast_path=fast_path,
                 precision=precision,
                 throughput_options=throughput_options,
             )
@@ -231,10 +225,8 @@ class MSROPM:
         The iterations are executed by a replica engine: the default batched
         engine advances all of them as one vectorized integration, while the
         sequential engine replays the original one-at-a-time loop.  On the
-        sparse coupling backend (auto-selected for every graph the paper
-        uses) the two produce bit-identical results for the same seeds; the
-        dense backend is numerically equivalent but may differ in the last
-        floating-point ulp.  The engine comes from ``config.engine`` unless
+        exact precision tier the two produce bit-identical results for the
+        same seeds.  The engine comes from ``config.engine`` unless
         overridden here with an engine name (``"sequential"``/``"batched"``)
         or a :class:`repro.core.engine.SolverEngine` instance.
         """

@@ -24,16 +24,13 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import SimulationError, StageError
+from repro.exceptions import StageError
 from repro.core.config import MSROPMConfig
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
-    BlockDiagonalCoupling,
     CouplingOperator,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    GroupMaskedDenseCoupling,
-    SharedCoupling,
     ThroughputOptions,
     ThroughputOscillatorModel,
 )
@@ -119,13 +116,10 @@ class CouplingPlan:
       every solve's stage 1, buffers included;
     * replica-dependent stage-2 gatings are assembled by the vectorized
       :func:`repro.dynamics.batched.gated_block_diagonal_csr` constructor
-      instead of a per-replica loop;
-    * the dense backend's base matrix is built once and shared by every
-      :class:`GroupMaskedDenseCoupling` instance (which itself caches its
-      per-label masks for the stage's two intervals).
+      instead of a per-replica loop.
 
     Every operator the plan returns is bit-identical in its arithmetic to the
-    per-stage construction it replaces (same canonical CSR, same kernels).
+    per-replica sequential matvec (same canonical CSR, same kernels).
     """
 
     def __init__(
@@ -133,39 +127,17 @@ class CouplingPlan:
         edge_index: np.ndarray,
         num_oscillators: int,
         coupling_rate: float,
-        backend: str,
         dtype=float,
     ) -> None:
-        if backend not in ("sparse", "dense"):
-            raise StageError(
-                f"coupling plans need a resolved 'sparse' or 'dense' backend, got {backend!r}"
-            )
         self.edge_index = edge_index
         self.num_oscillators = num_oscillators
         self.coupling_rate = coupling_rate
-        self.backend = backend
         self.dtype = np.dtype(dtype)
         self._uniform_shared: Optional[FastSharedCoupling] = None
-        self._dense_base: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def dense_base(self) -> np.ndarray:
-        """The fabric's ungated dense coupling-rate matrix (built once)."""
-        if self._dense_base is None:
-            num = self.num_oscillators
-            base = np.zeros((num, num), dtype=float)
-            if self.edge_index.size:
-                rows = self.edge_index[:, 0]
-                cols = self.edge_index[:, 1]
-                base[rows, cols] = self.coupling_rate
-                base[cols, rows] = self.coupling_rate
-            self._dense_base = base
-        return self._dense_base
-
     def operator(self, group_values: np.ndarray) -> CouplingOperator:
         """The precompiled coupling operator for one stage's gating table."""
-        if self.backend == "dense":
-            return GroupMaskedDenseCoupling(self.dense_base(), group_values)
         first_row = group_values[0]
         if np.all(group_values == first_row):
             if first_row.size == 0 or np.all(first_row == first_row[0]):
@@ -210,33 +182,20 @@ class StageExecutor:
         When ``True`` the initialization interval is also simulated and all
         intervals record every integrator step, so waveforms can be
         reconstructed; when ``False`` the initialization interval is applied
-        analytically (pure diffusion) and trajectories are thinned.
+        analytically (pure diffusion) and trajectories are thinned.  Only
+        single-run ``(N,)`` stages record: batched stages integrate to the
+        final state and reject trajectory collection.
     frequency_detuning:
         Optional per-oscillator free-running frequency offsets (radians/second)
         modelling static process variation; applied during the annealing and
         SHIL intervals of every stage.  Note these are rad/s rates (drawn with
         standard deviation ``config.frequency_detuning_rate_std``), not the
         relative ``config.frequency_detuning_std`` fraction.
-    coupling_backend:
-        Coupling representation for *batched* stage runs: ``"sparse"``
-        (shared CSR / block-diagonal CSR, bit-identical to the sequential
-        path) or ``"dense"`` (group-masked GEMMs, numerically equivalent).
-        ``"auto"`` must be resolved by the caller (the engine) before the
-        executor runs.
-    fast_path:
-        When ``True`` (default), batched non-trajectory stages run the
-        precompiled hot path: operators come from the executor's
-        :class:`CouplingPlan` and the intervals integrate through
-        :func:`repro.dynamics.integrators.euler_maruyama_final`, never
-        materializing intermediate states.  ``False`` forces the reference
-        body (per-stage operator construction, recorded trajectories) — the
-        baseline the fast path is tested bit-identical against and the
-        pre-overhaul behaviour the hot-path benchmark times.
     precision:
         Precision tier of the stage arithmetic: ``"exact"`` (default,
         bit-identical contract) or ``"throughput"`` (float32 state + relaxed
         RNG per :class:`repro.dynamics.batched.ThroughputOptions`, statistical
-        contract).  The throughput tier requires the batched fast path.
+        contract).  The throughput tier runs batched ``(R, N)`` stages only.
     throughput_options:
         Relaxation switches of the throughput tier; ``None`` means the tier's
         defaults.  Ignored on the exact tier.
@@ -247,8 +206,6 @@ class StageExecutor:
     num_oscillators: int
     collect_trajectory: bool = False
     frequency_detuning: Optional[np.ndarray] = None
-    coupling_backend: str = "sparse"
-    fast_path: bool = True
     precision: str = "exact"
     throughput_options: Optional[ThroughputOptions] = None
 
@@ -273,7 +230,6 @@ class StageExecutor:
                 self.edge_index,
                 self.num_oscillators,
                 self.config.coupling_rate,
-                self.coupling_backend,
                 dtype=self.state_dtype,
             )
             self._plan = plan
@@ -292,32 +248,27 @@ class StageExecutor:
         ``phases`` is either a flat ``(N,)`` vector (one run) or a batched
         ``(R, N)`` array of R replicas, with ``group_values`` of matching
         shape; batched runs execute every replica in one vectorized
-        integration.  Returns ``(final_phases, stage_bits, trajectory_or_None)``
-        where ``stage_bits`` is the per-oscillator binary read-out of this
-        stage, shaped like ``phases``.
+        integration and never record a trajectory.  The throughput tier
+        runs batched stages only.  Returns ``(final_phases, stage_bits,
+        trajectory_or_None)`` where ``stage_bits`` is the per-oscillator
+        binary read-out of this stage, shaped like ``phases``.
         """
-        if self.precision == "throughput":
-            if (
-                np.ndim(phases) != 2
-                or not self.fast_path
-                or self.collect_trajectory
-                or self.coupling_backend != "sparse"
-            ):
+        if np.ndim(phases) == 2:
+            if self.collect_trajectory:
                 raise StageError(
-                    "precision='throughput' requires the batched fast path on the "
-                    "sparse backend without trajectory collection"
+                    "batched (R, N) stages integrate to the final state only; "
+                    "record trajectories through single-run (N,) stages"
                 )
-            phases = np.asarray(phases, dtype=self.state_dtype)
-            return self._run_batched_stage_throughput(
-                stage_index, phases, group_values, rng, start_time
+            return self._run_batched_stage(
+                stage_index,
+                np.asarray(phases, dtype=self.state_dtype),
+                group_values,
+                rng,
+                start_time,
             )
+        if self.precision == "throughput":
+            raise StageError("precision='throughput' runs batched (R, N) stages only")
         phases = np.asarray(phases, dtype=float)
-        if phases.ndim == 2:
-            if self.fast_path and not self.collect_trajectory:
-                return self._run_batched_stage_fast(
-                    stage_index, phases, group_values, rng, start_time
-                )
-            return self._run_batched_stage(stage_index, phases, group_values, rng, start_time)
         config = self.config
         timing = config.timing
         rng = make_rng(rng)
@@ -406,205 +357,23 @@ class StageExecutor:
     # ------------------------------------------------------------------
     # Batched (replica-parallel) execution
     # ------------------------------------------------------------------
-    def _dense_base_matrix(self) -> np.ndarray:
-        """The fabric's ungated dense coupling-rate matrix (plan-cached)."""
-        return self.plan.dense_base()
-
-    def _batched_coupling(self, group_values: np.ndarray) -> CouplingOperator:
-        """Build the coupling operator for one batched stage.
-
-        Sparse backend: one shared CSR matrix when every replica agrees on the
-        grouping (always true in stage 1), otherwise per-replica gated blocks
-        on a block-diagonal CSR — both bit-identical to the sequential matvec.
-        Dense backend: the shared dense base with per-replica group masking.
-        """
-        if self.coupling_backend == "dense":
-            return GroupMaskedDenseCoupling(self._dense_base_matrix(), group_values)
-        if self.coupling_backend != "sparse":
-            raise StageError(
-                f"coupling_backend must be resolved to 'sparse' or 'dense' before "
-                f"stage execution, got {self.coupling_backend!r}"
+    def _batched_model(self, coupling: CouplingOperator, **terms) -> BatchedOscillatorModel:
+        """The batched RHS of one interval under this executor's precision tier."""
+        if self.precision == "throughput":
+            return ThroughputOscillatorModel(
+                coupling=coupling,
+                num_oscillators=self.num_oscillators,
+                frequency_detuning=self.frequency_detuning,
+                fused_shil=self.throughput.fused_shil,
+                dtype=self.state_dtype,
+                **terms,
             )
-        rate = self.config.coupling_rate
-        if np.all(group_values == group_values[0]):
-            return SharedCoupling(
-                partition_coupling_matrix(
-                    self.edge_index, group_values[0], self.num_oscillators, rate
-                )
-            )
-        blocks = [
-            partition_coupling_matrix(self.edge_index, row, self.num_oscillators, rate)
-            for row in group_values
-        ]
-        return BlockDiagonalCoupling(blocks)
-
-    def _run_batched_stage_fast(
-        self,
-        stage_index: int,
-        phases: np.ndarray,
-        group_values: np.ndarray,
-        rng,
-        start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Hot-path mirror of :meth:`_run_batched_stage` for final-state solves.
-
-        Exactly the reference body minus everything a non-trajectory solve
-        never reads: operators come precompiled from the :class:`CouplingPlan`
-        (bit-identical matrices, direct kernels), the two integrated intervals
-        run through :func:`euler_maruyama_final` (same steps, same random
-        stream, no recording), and no :class:`Trajectory` is ever built.  The
-        returned phases and bits are bit-identical to the reference body's.
-        """
-        config = self.config
-        timing = config.timing
-        rng = make_rng(rng)
-        diffusion = config.phase_noise_diffusion
-        time = start_time
-
-        group_values = np.asarray(group_values, dtype=int)
-        if group_values.shape != phases.shape:
-            raise StageError(
-                f"batched group_values shape {group_values.shape} must match "
-                f"phases shape {phases.shape}"
-            )
-        coupling = self.plan.operator(group_values)
-        offsets = group_offsets(group_values, stage_index)
-
-        # Initialization: couplings and SHIL are off, so the interval is a
-        # pure phase diffusion; apply the equivalent Gaussian walk directly.
-        std = np.sqrt(2.0 * diffusion * timing.initialization)
-        if std > 0:
-            phases = phases + rng.normal(0.0, std, size=phases.shape)
-        time += timing.initialization
-
-        anneal_model = BatchedOscillatorModel(
+        return BatchedOscillatorModel(
             coupling=coupling,
             num_oscillators=self.num_oscillators,
-            shil_strength=0.0,
             frequency_detuning=self.frequency_detuning,
-            coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
+            **terms,
         )
-        phases = euler_maruyama_final(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-        )
-        time += timing.annealing
-
-        lock_model = BatchedOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=config.shil_rate,
-            shil_offset=offsets,
-            shil_order=2,
-            frequency_detuning=self.frequency_detuning,
-            shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
-        )
-        phases = euler_maruyama_final(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-        )
-
-        bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, None
-
-    def _run_batched_stage_throughput(
-        self,
-        stage_index: int,
-        phases: np.ndarray,
-        group_values: np.ndarray,
-        rng,
-        start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Throughput-tier mirror of :meth:`_run_batched_stage_fast`.
-
-        Same three intervals and the same term structure, with the tier's
-        declared relaxations: the state (and the plan's CSR operators) may be
-        float32, the RHS is a :class:`ThroughputOscillatorModel`, and the
-        noise stream is whatever the caller's RNG provides (a
-        :class:`repro.rng.ThroughputRNG` under the default relaxations —
-        one batched stream of moment-matched uniform increments).  Results
-        are statistically equivalent to the exact tier, not bit-identical;
-        the equivalence harness owns that contract.
-        """
-        config = self.config
-        timing = config.timing
-        rng = make_rng(rng)
-        diffusion = config.phase_noise_diffusion
-        options = self.throughput
-        dtype = self.state_dtype
-        time = start_time
-
-        group_values = np.asarray(group_values, dtype=int)
-        if group_values.shape != phases.shape:
-            raise StageError(
-                f"batched group_values shape {group_values.shape} must match "
-                f"phases shape {phases.shape}"
-            )
-        coupling = self.plan.operator(group_values)
-        offsets = group_offsets(group_values, stage_index)
-
-        # Initialization: couplings and SHIL are off, so the interval is a
-        # pure phase diffusion; apply the equivalent Gaussian walk directly.
-        std = np.sqrt(2.0 * diffusion * timing.initialization)
-        if std > 0:
-            phases = phases + rng.normal(0.0, std, size=phases.shape)
-        time += timing.initialization
-
-        anneal_model = ThroughputOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=0.0,
-            frequency_detuning=self.frequency_detuning,
-            coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
-            fused_shil=options.fused_shil,
-            dtype=dtype,
-        )
-        phases = euler_maruyama_final(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            dtype=dtype,
-        )
-        time += timing.annealing
-
-        lock_model = ThroughputOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=config.shil_rate,
-            shil_offset=offsets,
-            shil_order=2,
-            frequency_detuning=self.frequency_detuning,
-            shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
-            fused_shil=options.fused_shil,
-            dtype=dtype,
-        )
-        phases = euler_maruyama_final(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            dtype=dtype,
-        )
-
-        bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, None
 
     def _run_batched_stage(
         self,
@@ -613,20 +382,28 @@ class StageExecutor:
         group_values: np.ndarray,
         rng,
         start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Vectorized mirror of the sequential stage body for ``(R, N)`` phases.
+    ) -> Tuple[np.ndarray, np.ndarray, None]:
+        """Vectorized mirror of the single-run stage body for ``(R, N)`` phases.
 
-        The three intervals are identical to the sequential path; the replica
-        axis rides through the integrators, and randomness comes from the
-        caller's :class:`repro.rng.ReplicaRNG` so each replica's stream is
-        consumed exactly as its sequential run would consume it.
+        The three intervals are those of the single-run path; the replica
+        axis rides through the integrator, operators come precompiled from
+        the :class:`CouplingPlan`, and the two integrated intervals run
+        through :func:`euler_maruyama_final` without recording.
+
+        On the exact tier the RHS is a :class:`BatchedOscillatorModel` and
+        randomness comes from the caller's :class:`repro.rng.ReplicaRNG`, so
+        each replica's stream is consumed exactly as its single run would
+        consume it and results are bit-identical to the sequential engine.
+        On the throughput tier the RHS is a :class:`ThroughputOscillatorModel`
+        in the tier's state dtype and the noise is whatever the caller's RNG
+        provides (a :class:`repro.rng.ThroughputRNG` under the default
+        relaxations); results are statistically equivalent to the exact tier,
+        a contract the equivalence harness owns.
         """
         config = self.config
         timing = config.timing
         rng = make_rng(rng)
-        record_every = 1 if self.collect_trajectory else config.record_every
         diffusion = config.phase_noise_diffusion
-        trajectory: Optional[Trajectory] = None
         time = start_time
 
         group_values = np.asarray(group_values, dtype=int)
@@ -635,46 +412,22 @@ class StageExecutor:
                 f"batched group_values shape {group_values.shape} must match "
                 f"phases shape {phases.shape}"
             )
-        coupling = self._batched_coupling(group_values)
+        coupling = self.plan.operator(group_values)
         offsets = group_offsets(group_values, stage_index)
 
-        # ------------------------------------------------------- initialization
-        if self.collect_trajectory:
-            free_model = BatchedOscillatorModel(
-                coupling=SharedCoupling(
-                    sparse.csr_matrix((self.num_oscillators, self.num_oscillators))
-                ),
-                num_oscillators=self.num_oscillators,
-            )
-            segment = integrate_euler_maruyama(
-                free_model,
-                phases,
-                timing.initialization,
-                config.time_step,
-                noise_amplitude=diffusion,
-                seed=rng,
-                start_time=time,
-                record_every=record_every,
-            )
-            trajectory = segment
-            phases = segment.final_phases
-        else:
-            # Couplings and SHIL are off, so the interval is a pure phase
-            # diffusion; apply the equivalent Gaussian walk directly.
-            std = np.sqrt(2.0 * diffusion * timing.initialization)
-            if std > 0:
-                phases = phases + rng.normal(0.0, std, size=phases.shape)
+        # Initialization: couplings and SHIL are off, so the interval is a
+        # pure phase diffusion; apply the equivalent Gaussian walk directly.
+        std = np.sqrt(2.0 * diffusion * timing.initialization)
+        if std > 0:
+            phases = phases + rng.normal(0.0, std, size=phases.shape)
         time += timing.initialization
 
-        # ------------------------------------------------------------ annealing
-        anneal_model = BatchedOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
+        anneal_model = self._batched_model(
+            coupling,
             shil_strength=0.0,
-            frequency_detuning=self.frequency_detuning,
             coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
         )
-        segment = integrate_euler_maruyama(
+        phases = euler_maruyama_final(
             anneal_model,
             phases,
             timing.annealing,
@@ -682,23 +435,18 @@ class StageExecutor:
             noise_amplitude=diffusion,
             seed=rng,
             start_time=time,
-            record_every=record_every,
+            dtype=self.state_dtype,
         )
-        trajectory = segment if trajectory is None else trajectory.concatenate(segment)
-        phases = segment.final_phases
         time += timing.annealing
 
-        # ------------------------------------------------------------ SHIL lock
-        lock_model = BatchedOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
+        lock_model = self._batched_model(
+            coupling,
             shil_strength=config.shil_rate,
             shil_offset=offsets,
             shil_order=2,
-            frequency_detuning=self.frequency_detuning,
             shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
         )
-        segment = integrate_euler_maruyama(
+        phases = euler_maruyama_final(
             lock_model,
             phases,
             timing.shil_settling,
@@ -706,10 +454,8 @@ class StageExecutor:
             noise_amplitude=diffusion,
             seed=rng,
             start_time=time,
-            record_every=record_every,
+            dtype=self.state_dtype,
         )
-        trajectory = trajectory.concatenate(segment)
-        phases = segment.final_phases
 
         bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, (trajectory if self.collect_trajectory else None)
+        return phases, bits, None

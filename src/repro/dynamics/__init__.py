@@ -10,7 +10,6 @@ from repro.dynamics.batched import (
     BatchedOscillatorModel,
     BlockDiagonalCoupling,
     CouplingOperator,
-    GroupMaskedDenseCoupling,
     SharedCoupling,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel, uniform_coupling_matrix
@@ -40,7 +39,6 @@ __all__ = [
     "CouplingOperator",
     "SharedCoupling",
     "BlockDiagonalCoupling",
-    "GroupMaskedDenseCoupling",
     "uniform_coupling_matrix",
     "PhaseNoiseModel",
     "random_initial_phases",

@@ -6,8 +6,9 @@ same fabric, so their phase dynamics can be advanced in lock-step on a single
 the partition gating: after stage 1 every replica has read out its own group
 labels, so every replica conducts a different subset of the fabric's edges.
 
-This module provides the coupling *operators* that close that gap, plus the
-batched right-hand-side model that consumes them:
+This module provides the sparse coupling *operators* that close that gap,
+plus the batched right-hand-side models that consume them.  The reference
+operators define the arithmetic:
 
 * :class:`SharedCoupling` — every replica sees the same sparse matrix (stage 1,
   or any stage where all replicas agree on the grouping).  One sparse
@@ -16,14 +17,10 @@ batched right-hand-side model that consumes them:
   single block-diagonal CSR matrix; the batch is flattened to ``(R*N,)`` for
   one sparse matvec per evaluation.  Row-wise accumulation order matches the
   per-replica matvec exactly, so results are bit-identical to sequential runs.
-* :class:`GroupMaskedDenseCoupling` — a dense formulation that never
-  materializes per-replica matrices: the gate ``[g_i == g_j]`` factors over
-  group labels, turning the gated product into one dense GEMM per group
-  (``coupling[r][i, j] = base[i, j] * [g_r[i] == g_r[j]]``).  Preferred for
-  dense graphs, where CSR indirection wastes the hardware.
 
-The sparse operators additionally come in *precompiled* variants used by the
-solve hot path (:class:`repro.core.stages.CouplingPlan`):
+The solve itself runs their *precompiled* variants, handed out by
+:class:`repro.core.stages.CouplingPlan`; the tests pin them bit-identical to
+the references:
 
 * :class:`FastSharedCoupling` skips scipy's ``__matmul__`` dispatch and drives
   the same ``csr_matvecs`` kernel scipy uses directly, through reusable
@@ -37,8 +34,10 @@ solve hot path (:class:`repro.core.stages.CouplingPlan`):
 
 :class:`BatchedOscillatorModel` mirrors
 :class:`repro.dynamics.kuramoto.CoupledOscillatorModel` (same physics, same
-term structure) over ``(R, N)`` phase arrays and is consumed unchanged by the
-fixed-step integrators; its ``evaluate_into`` method is the allocation-free
+term structure) over ``(R, N)`` phase arrays and is the exact tier's RHS;
+:class:`ThroughputOscillatorModel` is its reduced-precision subclass for the
+throughput tier (:class:`ThroughputOptions`).  Both are consumed unchanged by
+the fixed-step integrators through ``evaluate_into``, the allocation-free
 evaluation protocol the integrators prefer.
 """
 
@@ -332,46 +331,6 @@ class FastBlockDiagonalCoupling(BlockDiagonalCoupling):
             out_second,
         )
         return out_first.reshape(replicas, num), out_second.reshape(replicas, num)
-
-
-class GroupMaskedDenseCoupling(CouplingOperator):
-    """Dense shared base matrix with per-replica group gating.
-
-    Replica ``r`` conducts edge ``(i, j)`` only when ``groups[r, i] ==
-    groups[r, j]``.  Since the gate factors as ``sum_c [g_i == c] [g_j == c]``,
-    the gated product reduces to one dense GEMM per group label over masked
-    fields — O(groups) GEMMs of ``(N, N) x (N, R)`` instead of R gated
-    matrices.
-    """
-
-    def __init__(self, base: np.ndarray, groups: Optional[np.ndarray] = None) -> None:
-        self.base = np.asarray(base, dtype=float)
-        if self.base.ndim != 2 or self.base.shape[0] != self.base.shape[1]:
-            raise SimulationError(f"base matrix must be square, got shape {self.base.shape}")
-        if not np.allclose(self.base, self.base.T):
-            raise SimulationError("base coupling matrix must be symmetric")
-        if groups is None:
-            self.masks = None
-        else:
-            groups = np.asarray(groups, dtype=int)
-            if groups.ndim != 2 or groups.shape[1] != self.base.shape[0]:
-                raise SimulationError(
-                    f"groups must have shape (R, {self.base.shape[0]}), got {groups.shape}"
-                )
-            labels = np.unique(groups)
-            if labels.size <= 1:
-                # Every oscillator in every replica shares one group: ungated.
-                self.masks = None
-            else:
-                self.masks = [(groups == label).astype(float) for label in labels]
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        if self.masks is None:
-            return field @ self.base
-        out = np.zeros_like(field)
-        for mask in self.masks:
-            out += mask * ((field * mask) @ self.base)
-        return out
 
 
 @dataclass

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.exceptions import SimulationError
 from repro.rng import SeedLike, make_rng, normal_noise_block
@@ -403,6 +402,10 @@ def integrate_scipy(
         raise SimulationError(f"duration must be positive, got {duration}")
     if max_points < 2:
         raise SimulationError(f"max_points must be at least 2, got {max_points}")
+    # Imported here: only this test-reference integrator needs scipy.integrate,
+    # and importing it costs the CLI a noticeable share of its start-up.
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(start_time, start_time + duration, max_points)
     solution = solve_ivp(
         rhs,

@@ -25,27 +25,6 @@ from pathlib import Path
 from typing import Any, Iterator, Union
 
 
-def write_atomic_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Publish ``data`` at ``path`` via write-to-temp + atomic rename.
-
-    The temp file is created in ``path``'s own directory so the final
-    ``os.replace`` never crosses a filesystem boundary (cross-device renames
-    are copy + delete, which is not atomic).
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "wb", dir=target.parent, suffix=".tmp", delete=False
-    )
-    try:
-        with handle:
-            handle.write(data)
-        os.replace(handle.name, target)
-    except OSError:
-        Path(handle.name).unlink(missing_ok=True)
-        raise
-
-
 @contextlib.contextmanager
 def atomic_output(path: Union[str, Path]) -> Iterator[Path]:
     """Yield a same-directory temp path, published to ``path`` on success.
@@ -66,6 +45,18 @@ def atomic_output(path: Union[str, Path]) -> Iterator[Path]:
     except BaseException:
         temp_path.unlink(missing_ok=True)
         raise
+
+
+def write_atomic_bytes(path: Union[str, Path], data: bytes) -> None:
+    """Publish ``data`` at ``path`` via write-to-temp + atomic rename.
+
+    The temp file is created in ``path``'s own directory so the final
+    ``os.replace`` never crosses a filesystem boundary (cross-device renames
+    are copy + delete, which is not atomic).  Any exception, including
+    ``KeyboardInterrupt``, removes the temp file and leaves ``path`` as it was.
+    """
+    with atomic_output(path) as temp_path:
+        temp_path.write_bytes(data)
 
 
 def write_atomic_text(path: Union[str, Path], text: str) -> None:

@@ -55,7 +55,9 @@ from repro.graphs.graph import Graph
 #: precision tier rides in the hashed config (``MSROPMConfig.precision``) and
 #: results carry execution metadata; exact and throughput runs of the same
 #: workload therefore hash differently and can never share a cache entry.
-JOB_SCHEMA_VERSION = 3
+#: 4 — the config's coupling-backend field removed (every batched solve runs the
+#: sparse operators), which changes the hashed config of every job.
+JOB_SCHEMA_VERSION = 4
 
 
 def _sha256_text(text: str) -> str:

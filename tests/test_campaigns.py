@@ -577,8 +577,9 @@ class TestRawStage1Accuracy:
         from repro.analysis.results_io import FORMAT_VERSION
 
         # Raw accuracies bumped these to 2/3; the precision tier bumped them
-        # again (tier in the job hash, metadata in the payload).
-        assert JOB_SCHEMA_VERSION == 3
+        # again (tier in the job hash, metadata in the payload); removing the
+        # coupling-backend config field bumped the job schema to 4.
+        assert JOB_SCHEMA_VERSION == 4
         assert FORMAT_VERSION == 4
 
 

@@ -225,3 +225,23 @@ class TestRunnerLifecycle:
             )
         capsys.readouterr()
         assert multiprocessing.active_children() == []
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        """Only the reference integrator needs scipy.integrate; the CLI must not load it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        script = "import sys, repro.cli; print('scipy.integrate' in sys.modules)"
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+        )
+        assert completed.stdout.strip() == "False"

@@ -2,8 +2,8 @@
 
 The batched engine's contract is strict: for the same seeds it must reproduce
 the sequential engine's colorings, accuracies, stage records and even the
-final oscillator phases *bit-identically* on the sparse coupling backend, and
-produce identical discrete read-outs on the dense backend.
+final oscillator phases *bit-identically* on the exact precision tier, for
+sparse and dense graphs alike.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from repro.core import (
     MSROPMConfig,
     SequentialEngine,
     get_engine,
-    resolve_coupling_backend,
 )
-from repro.core.engine import DENSE_DENSITY_THRESHOLD, DENSE_MIN_NODES
 from repro.graphs import Graph, kings_graph
 from repro.rng import ReplicaRNG, make_rng
 
@@ -61,7 +59,7 @@ class TestEngineSelection:
         assert isinstance(get_engine("sequential"), SequentialEngine)
         assert isinstance(get_engine("batched"), BatchedEngine)
         assert isinstance(get_engine(None), BatchedEngine)
-        engine = BatchedEngine(coupling_backend="sparse")
+        engine = BatchedEngine(precision="exact")
         assert get_engine(engine) is engine
 
     def test_get_engine_rejects_unknown(self):
@@ -72,24 +70,7 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             MSROPMConfig(engine="turbo")
         with pytest.raises(ConfigurationError):
-            MSROPMConfig(coupling_backend="dense-ish")
-        with pytest.raises(ConfigurationError):
-            BatchedEngine(coupling_backend="nope")
-
-    def test_auto_backend_by_density(self):
-        # The paper's King's graphs are sparse (density <= 0.24).
-        assert resolve_coupling_backend("auto", kings_graph(7, 7)) == "sparse"
-        # Small graphs stay sparse even when complete (bit-identical path).
-        assert resolve_coupling_backend("auto", complete_graph(DENSE_MIN_NODES - 1)) == "sparse"
-        # Large dense graphs use the GEMM backend.
-        dense = complete_graph(DENSE_MIN_NODES)
-        assert resolve_coupling_backend("auto", dense) == "dense"
-        assert 2.0 * dense.num_edges / (dense.num_nodes * (dense.num_nodes - 1)) >= (
-            DENSE_DENSITY_THRESHOLD
-        )
-        # Pinned backends pass through untouched.
-        assert resolve_coupling_backend("sparse", dense) == "sparse"
-        assert resolve_coupling_backend("dense", kings_graph(3, 3)) == "dense"
+            BatchedEngine(precision="nope")
 
 
 class TestBatchedSequentialEquivalence:
@@ -135,28 +116,15 @@ class TestBatchedSequentialEquivalence:
         batched = machine.solve(iterations=3, seed=13, engine="batched")
         assert_equivalent_solves(sequential, batched, exact_phases=True)
 
-    def test_dense_backend_reproduces_readouts(self, fast_config):
-        """The dense GEMM backend must read out the same discrete solutions."""
-        graph = complete_graph(12)
-        config = fast_config.with_updates(coupling_backend="dense")
-        machine = MSROPM(graph, config)
-        sequential = machine.solve(iterations=3, seed=7, engine="sequential")
-        batched = machine.solve(iterations=3, seed=7, engine="batched")
-        # Phases agree to floating-point reordering; read-outs are identical.
-        assert_equivalent_solves(sequential, batched, exact_phases=False)
-        for seq_item, bat_item in zip(sequential.iterations, batched.iterations):
-            assert np.allclose(
-                seq_item.stage_results[-1].final_phases,
-                bat_item.stage_results[-1].final_phases,
-            )
-
     def test_auto_dense_graph_end_to_end(self, fast_config):
-        """A large dense graph auto-selects the dense backend and still solves."""
-        graph = complete_graph(DENSE_MIN_NODES)
+        """A complete K32 graph solves on the sparse path, bit-identical to sequential."""
+        graph = complete_graph(32)
         machine = MSROPM(graph, fast_config)
-        result = machine.solve(iterations=2, seed=1)
-        assert result.num_iterations == 2
-        assert all(coloring.covers(graph) for coloring in result.colorings)
+        sequential = machine.solve(iterations=2, seed=1, engine="sequential")
+        batched = machine.solve(iterations=2, seed=1, engine="batched")
+        assert batched.num_iterations == 2
+        assert all(coloring.covers(graph) for coloring in batched.colorings)
+        assert_equivalent_solves(sequential, batched, exact_phases=True)
 
 
 class TestSweepEnginePlumbing:

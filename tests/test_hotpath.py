@@ -9,10 +9,10 @@ reference:
 * the precompiled coupling operators (direct ``csr_matvec(s)`` kernels,
   vectorized block-diagonal construction) against the scipy-dispatch
   reference operators and the per-replica ``block_diag`` construction,
-* the fast batched stage/engine against the legacy engine body
-  (``fast_path=False``) and the sequential engine,
+* the batched stage/engine against the sequential engine (the original,
+  legacy one-at-a-time loop and the exact tier's reference),
 * the no-trajectory guarantee (a default solve materializes no
-  :class:`Trajectory` at all),
+  :class:`Trajectory` at all, and batched stages refuse to record),
 * the warm scheduler pool, the per-worker machine memo, and the cached
   reference solutions against their cold equivalents.
 """
@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core import MSROPM, BatchedEngine, MSROPMConfig, SequentialEngine
+from repro.core import MSROPM, MSROPMConfig, SequentialEngine
 from repro.core.config import TimingPlan
 from repro.core.stages import CouplingPlan, StageExecutor, partition_coupling_matrix
 from repro.dynamics import integrators
+from repro.exceptions import StageError
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
     BlockDiagonalCoupling,
@@ -45,7 +46,6 @@ from repro.dynamics.integrators import (
     rk4_final,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel
-from repro.graphs import kings_graph
 from repro.rng import ReplicaRNG, make_rng, normal_noise_block
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
@@ -292,7 +292,7 @@ class TestFastOperators:
         assert np.array_equal(reference.apply(field), fast.apply(field))
 
     def test_plan_reuses_uniform_operator(self, kings_5x5):
-        plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9, "sparse")
+        plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9)
         groups = np.zeros((4, kings_5x5.num_nodes), dtype=int)
         first = plan.operator(groups)
         second = plan.operator(np.ones((7, kings_5x5.num_nodes), dtype=int))
@@ -311,47 +311,32 @@ class TestFastEngine:
     def test_fast_engine_matches_legacy_and_sequential(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         fast = machine.solve(iterations=6, seed=21)
-        legacy = machine.solve(iterations=6, seed=21, engine=BatchedEngine(fast_path=False))
         sequential = machine.solve(iterations=6, seed=21, engine=SequentialEngine())
-        for reference in (legacy, sequential):
-            assert np.array_equal(fast.accuracies, reference.accuracies)
-            for fast_item, ref_item in zip(fast.iterations, reference.iterations):
-                assert fast_item.coloring.assignment == ref_item.coloring.assignment
-                assert len(fast_item.stage_results) == len(ref_item.stage_results)
-                for fast_stage, ref_stage in zip(fast_item.stage_results, ref_item.stage_results):
-                    assert fast_stage.cut_value == ref_stage.cut_value
-                    assert fast_stage.reference_cut == ref_stage.reference_cut
-                    assert fast_stage.accuracy == ref_stage.accuracy
-                    assert fast_stage.partition.side_a == ref_stage.partition.side_a
-                assert np.array_equal(
-                    fast_item.stage_results[-1].final_phases,
-                    ref_item.stage_results[-1].final_phases,
-                )
+        assert np.array_equal(fast.accuracies, sequential.accuracies)
+        for fast_item, ref_item in zip(fast.iterations, sequential.iterations):
+            assert fast_item.coloring.assignment == ref_item.coloring.assignment
+            assert len(fast_item.stage_results) == len(ref_item.stage_results)
+            for fast_stage, ref_stage in zip(fast_item.stage_results, ref_item.stage_results):
+                assert fast_stage.cut_value == ref_stage.cut_value
+                assert fast_stage.reference_cut == ref_stage.reference_cut
+                assert fast_stage.accuracy == ref_stage.accuracy
+                assert fast_stage.partition.side_a == ref_stage.partition.side_a
+            assert np.array_equal(
+                fast_item.stage_results[-1].final_phases,
+                ref_item.stage_results[-1].final_phases,
+            )
 
     def test_fast_engine_matches_legacy_with_detuning(self, kings_5x5, fast_config):
         config = fast_config.with_updates(frequency_detuning_std=0.01, seed=5)
         machine = MSROPM(kings_5x5, config)
         fast = machine.solve(iterations=4, seed=8)
-        legacy = machine.solve(iterations=4, seed=8, engine=BatchedEngine(fast_path=False))
-        assert np.array_equal(fast.accuracies, legacy.accuracies)
-        assert np.array_equal(
-            fast.iterations[-1].stage_results[-1].final_phases,
-            legacy.iterations[-1].stage_results[-1].final_phases,
-        )
-
-    def test_fast_engine_dense_backend_matches_legacy(self, fast_config):
-        graph = kings_graph(6, 6)
-        config = fast_config.with_updates(coupling_backend="dense")
-        machine = MSROPM(graph, config)
-        fast = machine.solve(iterations=3, seed=13)
-        legacy = machine.solve(
-            iterations=3, seed=13, engine=BatchedEngine(coupling_backend="dense", fast_path=False)
-        )
-        assert np.array_equal(fast.accuracies, legacy.accuracies)
-        assert np.array_equal(
-            fast.iterations[-1].stage_results[-1].final_phases,
-            legacy.iterations[-1].stage_results[-1].final_phases,
-        )
+        sequential = machine.solve(iterations=4, seed=8, engine=SequentialEngine())
+        assert np.array_equal(fast.accuracies, sequential.accuracies)
+        for fast_item, ref_item in zip(fast.iterations, sequential.iterations):
+            assert np.array_equal(
+                fast_item.stage_results[-1].final_phases,
+                ref_item.stage_results[-1].final_phases,
+            )
 
     def test_default_solve_materializes_no_trajectory(self, kings_5x5, fast_config, monkeypatch):
         created = []
@@ -365,16 +350,14 @@ class TestFastEngine:
         machine = MSROPM(kings_5x5, fast_config)
         machine.solve(iterations=3, seed=4)
         assert created == []  # the hot path never builds a trajectory
-        machine.solve(iterations=3, seed=4, engine=BatchedEngine(fast_path=False))
-        assert created  # the reference body still records (and is tested above)
 
     def test_executor_cache_is_reused_across_solves(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         machine.solve(iterations=2, seed=1)
-        executor = machine.batched_executor("sparse", fast_path=True)
+        executor = machine.batched_executor()
         plan = executor.plan
         machine.solve(iterations=2, seed=2)
-        assert machine.batched_executor("sparse", fast_path=True) is executor
+        assert machine.batched_executor() is executor
         assert executor.plan is plan
 
     def test_collect_trajectory_still_works(self, kings_5x5, fast_config):
@@ -382,6 +365,17 @@ class TestFastEngine:
         result = machine.run_iteration(seed=3, collect_trajectory=True)
         assert result.trajectory is not None
         assert result.trajectory.phases.ndim == 2
+
+    def test_batched_stage_rejects_trajectory_collection(self, kings_5x5, fast_config):
+        executor = StageExecutor(
+            config=fast_config,
+            edge_index=kings_5x5.edge_index_array(),
+            num_oscillators=kings_5x5.num_nodes,
+            collect_trajectory=True,
+        )
+        groups = np.zeros((2, kings_5x5.num_nodes), dtype=int)
+        with pytest.raises(StageError):
+            executor.run_stage(1, np.zeros(groups.shape), groups, ReplicaRNG.from_seeds([1, 2]))
 
 
 class TestWarmScheduler:

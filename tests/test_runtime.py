@@ -343,3 +343,21 @@ class TestSweepThroughRuntime:
             small_grid, (), base_config=fast_config, iterations=1, seed=4
         )
         assert sweep.points == []
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError, OSError])
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch, error):
+        from repro.runtime import atomic
+
+        target = tmp_path / "artifact.json"
+        target.write_bytes(b"original")
+
+        def fail(source, destination):
+            raise error("interrupted before the rename")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        with pytest.raises(error):
+            atomic.write_atomic_bytes(target, b"replacement")
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert target.read_bytes() == b"original"

@@ -36,7 +36,7 @@ from repro.core import MSROPM, BatchedEngine, MSROPMConfig, SequentialEngine
 from repro.core.results import SolveResult
 from repro.dynamics.batched import ThroughputOptions
 from repro.graphs import kings_graph
-from repro.runtime.jobs import KingsGraphSpec, SolveJob, clear_machine_memo, merge_job_results
+from repro.runtime.jobs import KingsGraphSpec, SolveJob, merge_job_results
 from repro.units import ns
 
 DIGEST_PATH = Path(__file__).parent / "data" / "solve_digests.json"
@@ -82,7 +82,6 @@ def _board_solve(rows: int, num_colors: int, detuning: float, seed: int, engine=
 
 def _chunked_solve(rows: int, num_colors: int, detuning: float, seed: int, chunk: int):
     def run() -> SolveResult:
-        clear_machine_memo()
         job = SolveJob(
             spec=KingsGraphSpec(rows, rows),
             config=_config(num_colors, detuning),
@@ -173,8 +172,8 @@ def test_solve_digest_matches_golden(name, run):
     assert canonical_digest(run()) == golden["digests"][name]
 
 
-def test_chunked_solves_match_unchunked():
-    """Any chunk size merges to one digest (chunking never changes results)."""
+def test_chunk_sizes_share_one_digest():
+    """Every chunk size merges to one digest (chunking never changes results)."""
     golden = _golden()["digests"]
     for rows, num_colors, detuning in ((6, 4, 0.0), (6, 8, 0.01)):
         digests = {
