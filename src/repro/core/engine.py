@@ -17,13 +17,31 @@ together.  This module is the seam between the machine and that choice:
   bit-identical to the sequential engine for the same seeds; the throughput
   tier runs the same body in float32 with one batched noise stream.
 
+Replica shards
+--------------
+
+Because each exact-tier replica owns its stream, a batch can be split into
+contiguous replica ranges that run the batched body independently and are
+joined in range order — bit-identical to one batch, the same tiling
+:meth:`SolverEngine.run_range` and replica-chunked jobs rely on.  The numpy
+ufuncs, scipy's CSR kernels and ``Generator`` fills of the body release the
+GIL, so :class:`BatchedEngine` runs an exact-tier batch as
+:func:`replica_shards` ranges on as many threads (the calling thread runs the
+first).  The shard count is bounded by the process's thread budget
+(:func:`replica_thread_budget`: the CPUs it may run on, capped to one in pool
+workers and fleet workers by :mod:`repro.runtime.worker_env`), by R, and by
+:data:`MIN_SHARD_ELEMENTS` per shard.  The throughput tier never shards: its
+one batched noise stream would be consumed differently.
+
 Engines are selected by name via ``MSROPMConfig.engine`` (or per call via
 ``MSROPM.solve(engine=...)``).
 """
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
@@ -31,12 +49,58 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
 from repro.core.results import IterationResult, StageResult
+from repro.core.stages import StageExecutor
 from repro.dynamics.batched import ThroughputOptions
+from repro.dynamics.integrators import _NOISE_BLOCK_ELEMENTS
 from repro.dynamics.noise import perturbed_phases, random_initial_phases
-from repro.rng import ReplicaRNG, ThroughputRNG, make_rng
+from repro.rng import ReplicaRNG, ThroughputRNG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.machine import MSROPM
+
+#: Fewest ``replicas x oscillators`` elements one replica shard must carry.
+#: Below it the per-step Python overhead of a shard outweighs the halved
+#: kernel time.  Measured on 40-replica exact solves, two shards on two
+#: cores: 980 elements per shard ran x0.74, 1620 ran x1.47, 2880 ran x1.61.
+MIN_SHARD_ELEMENTS = 2048
+
+#: Process-wide cap on replica threads (``None``: no cap).
+_thread_cap: Optional[int] = None
+
+
+def cap_replica_threads(limit: Optional[int]) -> Optional[int]:
+    """Cap this process's replica-thread budget to ``limit`` (``None`` lifts it).
+
+    Returns the previous cap so a caller can restore it.  Worker processes
+    cap to one, like their BLAS pools: their parallelism is the process
+    count.
+    """
+    global _thread_cap
+    previous, _thread_cap = _thread_cap, limit
+    return previous
+
+
+def replica_thread_budget() -> int:
+    """Threads one exact-tier solve may use: the CPUs this process may run
+    on, capped by :func:`cap_replica_threads`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    return max(1, cpus if _thread_cap is None else min(cpus, _thread_cap))
+
+
+def replica_shards(num_replicas: int, num_oscillators: int) -> int:
+    """How many replica shards an exact-tier batch of ``R x N`` runs as."""
+    return max(
+        1,
+        min(
+            replica_thread_budget(),
+            num_replicas,
+            num_replicas * num_oscillators // MIN_SHARD_ELEMENTS,
+        ),
+    )
+
 
 class SolverEngine(ABC):
     """Strategy for executing the independent iterations of one solve."""
@@ -97,7 +161,9 @@ class BatchedEngine(SolverEngine):
 
     Every solve runs through the machine's cached :class:`StageExecutor`
     (coupling plans, direct kernels, final-state integration) plus
-    replica-vectorized stage scoring and coloring accuracies.
+    replica-vectorized stage scoring and coloring accuracies.  An exact-tier
+    batch runs as :func:`replica_shards` contiguous replica ranges on their
+    own threads, joined in range order (bit-identical to one batch).
 
     Parameters
     ----------
@@ -128,10 +194,7 @@ class BatchedEngine(SolverEngine):
         self.throughput_options = throughput_options
 
     def run(self, machine: "MSROPM", seeds: Sequence[Optional[int]]) -> List[IterationResult]:
-        config = machine.config
-        num_replicas = len(seeds)
-        num = machine.num_oscillators
-        precision = self.precision if self.precision is not None else config.precision
+        precision = self.precision if self.precision is not None else machine.config.precision
         if precision == "throughput":
             options = (
                 self.throughput_options
@@ -141,13 +204,56 @@ class BatchedEngine(SolverEngine):
             rng = (
                 ThroughputRNG(seeds)
                 if options.batched_rng
-                else ReplicaRNG([make_rng(seed) for seed in seeds])
+                else ReplicaRNG.from_seeds(seeds)
             )
             executor = machine.batched_executor("throughput", options)
-        else:
-            rng = ReplicaRNG([make_rng(seed) for seed in seeds])
-            executor = machine.batched_executor()
+            return self._run_batch(machine, executor, rng, seeds)
+        executor = machine.batched_executor()
+        executor.plan  # built here, before any shard thread reads it
+        shards = replica_shards(len(seeds), machine.num_oscillators)
+        if shards == 1:
+            return self._run_batch(machine, executor, ReplicaRNG.from_seeds(seeds), seeds)
+        bounds = [len(seeds) * index // shards for index in range(shards + 1)]
+        noise_block_elements = _NOISE_BLOCK_ELEMENTS // shards
 
+        def run_shard(index: int) -> List[IterationResult]:
+            start, stop = bounds[index], bounds[index + 1]
+            shard_seeds = seeds[start:stop]
+            results = self._run_batch(
+                machine,
+                executor,
+                ReplicaRNG.from_seeds(shard_seeds),
+                shard_seeds,
+                noise_block_elements,
+            )
+            for offset, item in enumerate(results):
+                item.iteration_index = start + offset
+            return results
+
+        with ThreadPoolExecutor(
+            max_workers=shards - 1, thread_name_prefix="msropm-replica-shard"
+        ) as pool:
+            futures = [pool.submit(run_shard, index) for index in range(1, shards)]
+            results = run_shard(0)
+            for future in futures:
+                results.extend(future.result())
+        return results
+
+    def _run_batch(
+        self,
+        machine: "MSROPM",
+        executor: StageExecutor,
+        rng: Union[ReplicaRNG, ThroughputRNG],
+        seeds: Sequence[Optional[int]],
+        noise_block_elements: Optional[int] = None,
+    ) -> List[IterationResult]:
+        """The batched body: all ``len(seeds)`` replicas as one ``(R, N)`` solve.
+
+        Results carry local iteration indices ``0 .. R-1``.
+        """
+        config = machine.config
+        num_replicas = len(seeds)
+        num = machine.num_oscillators
         phases = random_initial_phases(num, rng)  # (R, N)
         group_values = np.zeros((num_replicas, num), dtype=int)
         stage_records: List[List[StageResult]] = [[] for _ in range(num_replicas)]
@@ -158,7 +264,8 @@ class BatchedEngine(SolverEngine):
                 # Compute-in-memory hand-off, exactly as in the sequential path.
                 phases = perturbed_phases(phases, config.stage2_reinit_jitter, rng)
             phases, bits, _ = executor.run_stage(
-                stage_index, phases, group_values, rng, start_time=time
+                stage_index, phases, group_values, rng, start_time=time,
+                noise_block_elements=noise_block_elements,
             )
             time += (
                 config.timing.initialization

@@ -120,6 +120,11 @@ class CouplingPlan:
 
     Every operator the plan returns is bit-identical in its arithmetic to the
     per-replica sequential matvec (same canonical CSR, same kernels).
+
+    The plan is safe to share between replica shards running on their own
+    threads: the ungated CSR is built here, in the thread that builds the
+    plan, and is read-only afterwards; its operator keeps per-thread kernel
+    buffers, and every gated operator is built fresh for its caller.
     """
 
     def __init__(
@@ -133,7 +138,14 @@ class CouplingPlan:
         self.num_oscillators = num_oscillators
         self.coupling_rate = coupling_rate
         self.dtype = np.dtype(dtype)
-        self._uniform_shared: Optional[FastSharedCoupling] = None
+        # Uniform grouping gates nothing, for any common value: one shared
+        # ungated CSR serves every solve's stage 1.
+        self._uniform_shared = FastSharedCoupling(
+            partition_coupling_matrix(
+                edge_index, np.zeros(num_oscillators, dtype=int), num_oscillators, coupling_rate
+            ),
+            dtype=self.dtype,
+        )
 
     # ------------------------------------------------------------------
     def operator(self, group_values: np.ndarray) -> CouplingOperator:
@@ -141,18 +153,6 @@ class CouplingPlan:
         first_row = group_values[0]
         if np.all(group_values == first_row):
             if first_row.size == 0 or np.all(first_row == first_row[0]):
-                # Uniform grouping gates nothing, for any common value: one
-                # shared ungated CSR serves every solve's stage 1.
-                if self._uniform_shared is None:
-                    self._uniform_shared = FastSharedCoupling(
-                        partition_coupling_matrix(
-                            self.edge_index,
-                            first_row,
-                            self.num_oscillators,
-                            self.coupling_rate,
-                        ),
-                        dtype=self.dtype,
-                    )
                 return self._uniform_shared
             return FastSharedCoupling(
                 partition_coupling_matrix(
@@ -242,6 +242,7 @@ class StageExecutor:
         group_values: np.ndarray,
         rng,
         start_time: float = 0.0,
+        noise_block_elements: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
         """Execute stage ``stage_index`` starting from ``phases``.
 
@@ -252,6 +253,8 @@ class StageExecutor:
         runs batched stages only.  Returns ``(final_phases, stage_bits,
         trajectory_or_None)`` where ``stage_bits`` is the per-oscillator
         binary read-out of this stage, shaped like ``phases``.
+        ``noise_block_elements`` caps a batched stage's prefetched noise
+        buffer (see :func:`repro.dynamics.integrators.euler_maruyama_final`).
         """
         if np.ndim(phases) == 2:
             if self.collect_trajectory:
@@ -265,6 +268,7 @@ class StageExecutor:
                 group_values,
                 rng,
                 start_time,
+                noise_block_elements,
             )
         if self.precision == "throughput":
             raise StageError("precision='throughput' runs batched (R, N) stages only")
@@ -382,6 +386,7 @@ class StageExecutor:
         group_values: np.ndarray,
         rng,
         start_time: float,
+        noise_block_elements: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, None]:
         """Vectorized mirror of the single-run stage body for ``(R, N)`` phases.
 
@@ -436,6 +441,7 @@ class StageExecutor:
             seed=rng,
             start_time=time,
             dtype=self.state_dtype,
+            noise_block_elements=noise_block_elements,
         )
         time += timing.annealing
 
@@ -455,6 +461,7 @@ class StageExecutor:
             seed=rng,
             start_time=time,
             dtype=self.state_dtype,
+            noise_block_elements=noise_block_elements,
         )
 
         bits = binarize_against_offsets(phases, offsets)

@@ -24,8 +24,8 @@ the references:
 
 * :class:`FastSharedCoupling` skips scipy's ``__matmul__`` dispatch and drives
   the same ``csr_matvecs`` kernel scipy uses directly, through reusable
-  input/output buffers — identical accumulation, identical bits, none of the
-  per-step wrapper overhead or temporaries.
+  per-thread input/output buffers — identical accumulation, identical bits,
+  none of the per-step wrapper overhead or temporaries.
 * :class:`FastBlockDiagonalCoupling` does the same for the block-diagonal
   form and is constructed via :func:`gated_block_diagonal_csr`, a vectorized
   ``indptr/indices/data`` assembly that replaces the per-replica Python loop
@@ -43,6 +43,7 @@ evaluation protocol the integrators prefer.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -175,8 +176,10 @@ class FastSharedCoupling(SharedCoupling):
     buffer alive and calls the same ``csr_matvecs`` C kernel scipy calls, so
     the accumulation order — and therefore every output bit — is unchanged.
 
-    The returned arrays are transposed views of the internal output buffer and
-    are only valid until the next ``apply_pair`` call (the RHS evaluation
+    The buffers are per thread, so one operator (one read-only CSR) serves
+    replica shards integrating concurrently.  The returned arrays are
+    transposed views of the calling thread's output buffer and are only
+    valid until that thread's next ``apply_pair`` call (the RHS evaluation
     consumes them immediately).
     """
 
@@ -185,17 +188,18 @@ class FastSharedCoupling(SharedCoupling):
         self._dtype = np.dtype(dtype)
         if self.matrix.dtype != self._dtype:
             self.matrix = self.matrix.astype(self._dtype)
-        self._pair_in: Optional[np.ndarray] = None
-        self._pair_out: Optional[np.ndarray] = None
+        self._buffers = threading.local()
 
     def apply_pair(self, first: np.ndarray, second: np.ndarray):
         if _csr_matvecs is None:  # pragma: no cover - scipy without C kernels
             return super().apply_pair(first, second)
         replicas, num = first.shape
-        if self._pair_in is None or self._pair_in.shape != (num, 2 * replicas):
-            self._pair_in = np.empty((num, 2 * replicas), dtype=self._dtype)
-            self._pair_out = np.empty((num, 2 * replicas), dtype=self._dtype)
-        stacked, out = self._pair_in, self._pair_out
+        buffers = self._buffers
+        stacked = getattr(buffers, "pair_in", None)
+        if stacked is None or stacked.shape != (num, 2 * replicas):
+            stacked = buffers.pair_in = np.empty((num, 2 * replicas), dtype=self._dtype)
+            buffers.pair_out = np.empty((num, 2 * replicas), dtype=self._dtype)
+        out = buffers.pair_out
         stacked[:, :replicas] = first.T
         stacked[:, replicas:] = second.T
         out.fill(0.0)

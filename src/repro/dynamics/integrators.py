@@ -23,10 +23,11 @@ Hot-path structure
 The fixed-step loops are written to be allocation-free per step: the state is
 advanced in place through integrator-owned scratch buffers, recorded samples
 go into one preallocated ``(S_rec, ...)`` output buffer instead of a Python
-list, and Euler-Maruyama noise blocks are pre-scaled once per block.  All of
-these are bit-exact rewrites of the original expressions (``theta += step *
-drift`` produces exactly the floats of ``theta = theta + step * drift``), which
-the regression tests pin against straight reference loops.
+list, and Euler-Maruyama noise blocks are drawn into one preallocated buffer
+and pre-scaled once per block.  All of these are bit-exact rewrites of the
+original expressions (``theta += step * drift`` produces exactly the floats of
+``theta = theta + step * drift``), which the regression tests pin against
+straight reference loops.
 
 A right-hand side may additionally expose the in-place evaluation protocol
 ``rhs.evaluate_into(t, theta, out) -> out`` (both oscillator models do).  The
@@ -49,12 +50,14 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.rng import SeedLike, make_rng, normal_noise_block
+from repro.rng import SeedLike, make_rng, noise_buffer, normal_noise_block
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
 #: Target element count of one prefetched noise block (bounds peak memory of
-#: the Euler-Maruyama noise buffer to ~16 MB regardless of batch size).
+#: the Euler-Maruyama noise buffer to ~16 MB regardless of batch size).  Runs
+#: that integrate side by side in one process split it between them (see
+#: ``noise_block_elements``).
 _NOISE_BLOCK_ELEMENTS = 2_000_000
 
 
@@ -229,17 +232,21 @@ def _euler_maruyama_loop(
     rng,
     start_time: float,
     recorder: Optional[_Recorder],
+    noise_block_elements: int = _NOISE_BLOCK_ELEMENTS,
 ) -> np.ndarray:
     """Advance ``theta`` through ``num_steps`` Euler-Maruyama steps (in place).
 
-    Noise blocks are pre-scaled by ``noise_scale`` once per block — the same
+    Noise is drawn in blocks of whole steps of at most
+    ``noise_block_elements`` elements, into one buffer allocated before the
+    loop.  Each block is pre-scaled by ``noise_scale`` once — the same
     per-element multiplication the reference loop performs per step, so the
     added values are bit-identical.
     """
     evaluate_into = getattr(rhs, "evaluate_into", None)
     drift_buf = np.empty_like(theta) if evaluate_into is not None else None
     scratch = np.empty_like(theta)
-    block_steps = min(num_steps, max(1, _NOISE_BLOCK_ELEMENTS // max(1, theta.size)))
+    block_steps = min(num_steps, max(1, noise_block_elements // max(1, theta.size)))
+    noise_buf = noise_buffer(rng, block_steps, theta.shape) if noise_scale > 0 else None
     noise_block: Optional[np.ndarray] = None
     time = start_time
     for index in range(num_steps):
@@ -253,17 +260,11 @@ def _euler_maruyama_loop(
             offset = index % block_steps
             if offset == 0:
                 noise_block = normal_noise_block(
-                    rng, min(block_steps, num_steps - index), theta.shape
+                    rng, min(block_steps, num_steps - index), theta.shape, out=noise_buf
                 )
                 # Pre-scale the whole block once (elementwise, so identical to
-                # scaling each step's slice); scale through the contiguous
-                # backing array when the block is a transposed view.
-                backing = (
-                    noise_block.base
-                    if noise_block.base is not None and noise_block.base.size == noise_block.size
-                    else noise_block
-                )
-                np.multiply(backing, noise_scale, out=backing)
+                # scaling each step's slice).
+                np.multiply(noise_block, noise_scale, out=noise_block)
             np.add(theta, noise_block[offset], out=theta)
         time = start_time + (index + 1) * step
         if recorder is not None:
@@ -362,6 +363,7 @@ def euler_maruyama_final(
     seed: SeedLike = None,
     start_time: float = 0.0,
     dtype=float,
+    noise_block_elements: Optional[int] = None,
 ) -> np.ndarray:
     """Final-state Euler-Maruyama: like :func:`integrate_euler_maruyama`
     without trajectory recording.
@@ -373,6 +375,9 @@ def euler_maruyama_final(
     throughput precision tier passes ``dtype=np.float32`` (with a
     :class:`repro.rng.ThroughputRNG` as ``seed``), which keeps the state,
     drift and noise buffers single precision through every in-place update.
+    ``noise_block_elements`` caps the prefetched noise buffer (default: the
+    module budget); replica shards integrating side by side each pass their
+    share.  The blocking never changes results.
     """
     if noise_amplitude < 0:
         raise SimulationError(f"noise_amplitude must be non-negative, got {noise_amplitude}")
@@ -381,7 +386,11 @@ def euler_maruyama_final(
     rng = make_rng(seed)
     theta = np.array(initial_phases, dtype=dtype)
     noise_scale = np.sqrt(2.0 * noise_amplitude * step)
-    return _euler_maruyama_loop(rhs, theta, num_steps, step, noise_scale, rng, start_time, None)
+    if noise_block_elements is None:
+        noise_block_elements = _NOISE_BLOCK_ELEMENTS
+    return _euler_maruyama_loop(
+        rhs, theta, num_steps, step, noise_scale, rng, start_time, None, noise_block_elements
+    )
 
 
 def integrate_scipy(

@@ -85,24 +85,36 @@ class ReplicaRNG:
         shape = self._replica_shape(size)
         return np.stack([generator.uniform(low, high, size=shape) for generator in self.generators])
 
-    def noise_block(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+    def noise_buffer(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+        """An empty ``(num_steps, R, ...)`` buffer for :meth:`noise_block`'s ``out=``.
+
+        The buffer is a transposed *view* of an ``(R, num_steps, ...)``
+        array, so each replica's slice of any leading-steps prefix is
+        contiguous — the layout ``standard_normal(out=)`` requires.
+        """
+        per_replica = self._replica_shape(shape)
+        return np.empty((self.num_replicas, num_steps) + per_replica, dtype=float).swapaxes(0, 1)
+
+    def noise_block(
+        self, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Standard-normal noise for ``num_steps`` integrator steps at once.
 
         ``shape`` is the batched state shape ``(R, N)``; the result has shape
         ``(num_steps, R, N)``.  Each replica's block is drawn in one chunked
         ``standard_normal`` call, which numpy guarantees to consume the stream
-        exactly like ``num_steps`` successive ``(N,)`` draws.
+        exactly like ``num_steps`` successive ``(N,)`` draws.  ``out`` is a
+        buffer from :meth:`noise_buffer` with at least ``num_steps`` steps;
+        the block is drawn into its leading steps and that view is returned.
         """
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-        per_replica = self._replica_shape(shape)
-        # Draw straight into one (R, num_steps, N) buffer — each replica's
-        # slice is contiguous, so the generator fills it like a chunked draw —
-        # then hand back a transposed *view*; no transposed copy is ever made.
-        block = np.empty((self.num_replicas, num_steps) + per_replica, dtype=float)
+        if out is None:
+            out = self.noise_buffer(num_steps, shape)
+        block = out[:num_steps]
         for replica, generator in enumerate(self.generators):
-            generator.standard_normal(out=block[replica])
-        return block.swapaxes(0, 1)
+            generator.standard_normal(out=block[:, replica])
+        return block
 
 
 class ThroughputRNG:
@@ -193,19 +205,28 @@ class ThroughputRNG:
                 np.add(draw, np.float32(low), out=draw)
         return draw
 
-    def noise_block(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+    def noise_buffer(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+        """An empty float32 ``(num_steps, R, ...)`` buffer for :meth:`noise_block`."""
+        per_replica = self._replica_shape(shape)
+        return np.empty((num_steps, self.num_replicas) + per_replica, dtype=np.float32)
+
+    def noise_block(
+        self, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Unit-variance float32 noise for ``num_steps`` integrator steps.
 
         Shape ``(num_steps, R, N)`` like :meth:`ReplicaRNG.noise_block`, but
         filled in one batched float32 ``random`` call and transformed to
-        moment-matched uniform increments ``(2u - 1) * sqrt(3)``.
+        moment-matched uniform increments ``(2u - 1) * sqrt(3)``.  ``out`` is
+        a buffer from :meth:`noise_buffer`; its leading ``num_steps`` steps
+        are filled and returned.
         """
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-        per_replica = self._replica_shape(shape)
-        block = self.generator.random(
-            (num_steps, self.num_replicas) + per_replica, dtype=np.float32
-        )
+        if out is None:
+            out = self.noise_buffer(num_steps, shape)
+        block = out[:num_steps]
+        self.generator.random(out=block, dtype=np.float32)
         # (2u - 1) * sqrt(3): mean 0, variance 1 — a weak-order-equivalent
         # substitute for the standard normal per-step increment.
         np.multiply(block, np.float32(2.0 * np.sqrt(3.0)), out=block)
@@ -213,17 +234,38 @@ class ThroughputRNG:
         return block
 
 
-def normal_noise_block(rng: SeedLike, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+def noise_buffer(rng: SeedLike, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """An empty ``(num_steps,) + shape`` buffer for :func:`normal_noise_block`.
+
+    Its dtype and memory layout are the ones ``rng`` draws into: float64 for
+    a plain generator or :class:`ReplicaRNG` (replica-major underneath),
+    float32 for a :class:`ThroughputRNG`.
+    """
+    if isinstance(rng, (ReplicaRNG, ThroughputRNG)):
+        return rng.noise_buffer(num_steps, shape)
+    return np.empty((num_steps,) + tuple(shape), dtype=float)
+
+
+def normal_noise_block(
+    rng: SeedLike, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Draw ``(num_steps,) + shape`` unit-variance noise from ``rng``.
 
     For a plain generator this is one chunked draw (bit-identical to
     ``num_steps`` successive ``shape`` draws); for a :class:`ReplicaRNG` the
     block is assembled from the per-replica streams.  A :class:`ThroughputRNG`
     returns float32 moment-matched uniform increments instead of Gaussians.
+    ``out`` is a reusable buffer from :func:`noise_buffer` with at least
+    ``num_steps`` steps: the draw fills its leading steps and returns that
+    view, so a loop of blocks allocates nothing.
     """
     if isinstance(rng, (ReplicaRNG, ThroughputRNG)):
-        return rng.noise_block(num_steps, shape)
-    return make_rng(rng).standard_normal((num_steps,) + tuple(shape))
+        return rng.noise_block(num_steps, shape, out=out)
+    if out is None:
+        out = noise_buffer(rng, num_steps, shape)
+    block = out[:num_steps]
+    make_rng(rng).standard_normal(out=block)
+    return block
 
 
 def make_rng(seed: SeedLike = None) -> Union[np.random.Generator, "ReplicaRNG", "ThroughputRNG"]:

@@ -43,6 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.core.engine import cap_replica_threads
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import get_metrics
 from repro.runtime.jobs import Job
@@ -229,7 +230,9 @@ class SpoolExecutorBackend(ExecutorBackend):
 
     Completion needs no cooperation: the submitter keeps draining and
     reclaiming expired claims itself, so a batch finishes (with bit-identical
-    results) even if every helper process is killed mid-drain.
+    results) even if every helper process is killed mid-drain.  While
+    spawned children drain beside it, the submitter's own solves run on one
+    replica thread, like the children's.
 
     Only content-hashed (cacheable) jobs travel through the spool; the rare
     uncacheable job (e.g. a seedless ensemble draw) runs inline in the
@@ -349,33 +352,40 @@ class SpoolExecutorBackend(ExecutorBackend):
         deadline = (
             None if self.drain_timeout is None else time.monotonic() + self.drain_timeout
         )
-        while missing:
-            progressed = False
-            for job_hash in sorted(missing):
-                payload = self.spool.load_result(job_hash)
-                if payload is not None:
-                    for index in positions[job_hash]:
-                        payloads[index] = payload
-                        if progress is not None:
-                            progress(jobs[index])
-                    missing.discard(job_hash)
+        # While spawned children drain beside it, the submitter is one worker
+        # among them: one replica thread, like theirs.
+        previous_cap = cap_replica_threads(1) if self.spawn_workers else None
+        try:
+            while missing:
+                progressed = False
+                for job_hash in sorted(missing):
+                    payload = self.spool.load_result(job_hash)
+                    if payload is not None:
+                        for index in positions[job_hash]:
+                            payloads[index] = payload
+                            if progress is not None:
+                                progress(jobs[index])
+                        missing.discard(job_hash)
+                        progressed = True
+                if not missing:
+                    break
+                if self.participate and self._participant.step():
                     progressed = True
-            if not missing:
-                break
-            if self.participate and self._participant.step():
-                progressed = True
-            if self.spool.reclaim_expired():
-                progressed = True
-            if progressed:
-                if deadline is not None:
-                    deadline = time.monotonic() + self.drain_timeout
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                raise SpoolError(
-                    f"spool drain stalled: {len(missing)} job(s) still "
-                    f"unanswered after {self.drain_timeout}s without progress"
-                )
-            time.sleep(self.poll_interval)
+                if self.spool.reclaim_expired():
+                    progressed = True
+                if progressed:
+                    if deadline is not None:
+                        deadline = time.monotonic() + self.drain_timeout
+                    continue
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise SpoolError(
+                        f"spool drain stalled: {len(missing)} job(s) still "
+                        f"unanswered after {self.drain_timeout}s without progress"
+                    )
+                time.sleep(self.poll_interval)
+        finally:
+            if self.spawn_workers:
+                cap_replica_threads(previous_cap)
 
         executed = self._participant.executed - locally_before
         self.jobs_executed_locally += executed

@@ -5,9 +5,11 @@ process pool (:class:`~repro.runtime.executors.LocalPoolExecutorBackend`) and
 the filesystem-spool fleet workers (:mod:`repro.runtime.spool`, ``msropm
 fleet worker``) — prepares its workers the same way:
 
-* cap the BLAS/OpenMP thread pools to one thread per worker process (the
-  runtime's parallelism is process-level; letting every worker's GEMM spawn
-  ``cpu_count`` threads oversubscribes the machine),
+* cap the BLAS/OpenMP thread pools and the exact tier's replica threads
+  (:func:`repro.core.engine.replica_thread_budget`) to one thread per worker
+  process (the runtime's parallelism is process-level; letting every
+  worker's GEMM or replica batch spawn ``cpu_count`` threads oversubscribes
+  the machine),
 * pre-import the solver stack so module import latency is paid once, outside
   any job's critical path.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 from typing import Dict
 
+from repro.core.engine import cap_replica_threads
 from repro.runtime.jobs import Job
 
 #: Thread-pool environment caps applied to worker processes (and defaulted in
@@ -125,13 +128,16 @@ def _worker_init(thread_caps: Dict[str, str]) -> None:
     over: via the environment (authoritative under ``spawn``/``forkserver``,
     where numpy is imported afterwards, and for any library not yet loaded)
     and via :func:`limit_math_threads` for the libraries a forked worker
-    inherited already initialized.  Pre-importing the solver stack moves
-    module import latency out of the first job's critical path.
+    inherited already initialized.  The same limit caps the replica threads
+    of exact-tier solves (:func:`repro.core.engine.cap_replica_threads`).
+    Pre-importing the solver stack moves module import latency out of the
+    first job's critical path.
     """
     os.environ.update(thread_caps)
     if thread_caps:
         limit = int(thread_caps.get("OMP_NUM_THREADS", "1"))
         limit_math_threads(limit)
+        cap_replica_threads(limit)
     # Pre-import the heavy modules every job needs.
     import repro.analysis.results_io  # noqa: F401
     import repro.core.machine  # noqa: F401

@@ -38,8 +38,10 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import signal
+import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import get_metrics
 from repro.runtime.runner import TICKET_DONE, ExperimentRunner, SubmitQueueFull
@@ -423,11 +425,50 @@ async def serve(
     if log is not None:
         log(f"msropm service listening on http://{host}:{bound_port} (protocol {PROTOCOL_VERSION})")
         log(f"endpoint record: {service.state.endpoint_path}")
+    loop = asyncio.get_running_loop()
+    serving = asyncio.ensure_future(server.serve_forever())
+    stopped_by: List[int] = []
+
+    def stop(signum: int) -> None:
+        if log is not None:
+            log(f"msropm service: {signal.Signals(signum).name}, shutting down")
+        stopped_by.append(signum)
+        serving.cancel()
+
+    stop_signals = _install_stop_handlers(loop, stop)
     try:
         async with server:
-            await server.serve_forever()
+            await serving
+    except asyncio.CancelledError:
+        if not stopped_by:
+            raise
     finally:
+        for signum in stop_signals:
+            loop.remove_signal_handler(signum)
         service.state.clear_endpoint()
+
+
+def _install_stop_handlers(
+    loop: asyncio.AbstractEventLoop, stop: Callable[[int], None]
+) -> Tuple[int, ...]:
+    """Route SIGINT and SIGTERM to ``stop(signum)``; returns the signals handled.
+
+    Installed explicitly rather than relying on ``KeyboardInterrupt``: a
+    server started as a non-interactive shell's background job inherits
+    SIGINT as ignored, and a default SIGTERM would kill it before the
+    endpoint record is removed.  Only the main thread may own signal
+    handlers, so a loop run elsewhere (tests, embedders) gets none.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return ()
+    installed = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop, int(signum))
+        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
+            continue  # a platform without loop signal support
+        installed.append(int(signum))
+    return tuple(installed)
 
 
 def run_server(
@@ -439,7 +480,11 @@ def run_server(
     burst: float = DEFAULT_BURST,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
-    """Blocking entry point of ``msropm serve`` (returns the exit code)."""
+    """Blocking entry point of ``msropm serve`` (returns the exit code).
+
+    SIGINT and SIGTERM stop it gracefully: exit code 0, endpoint record
+    removed.
+    """
     service = SolverService(runner, cache_root, rate=rate, burst=burst)
     try:
         asyncio.run(serve(service, host=host, port=port, log=log))

@@ -3,10 +3,15 @@
 The batched engine's contract is strict: for the same seeds it must reproduce
 the sequential engine's colorings, accuracies, stage records and even the
 final oscillator phases *bit-identically* on the exact precision tier, for
-sparse and dense graphs alike.
+sparse and dense graphs alike — also when the batch runs as replica shards on
+threads.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +24,12 @@ from repro.core import (
     SequentialEngine,
     get_engine,
 )
+from repro.core import engine as engine_module
+from repro.dynamics.batched import ThroughputOptions
 from repro.graphs import Graph, kings_graph
-from repro.rng import ReplicaRNG, make_rng
+from repro.rng import ReplicaRNG, ThroughputRNG, make_rng, noise_buffer, normal_noise_block
+
+SHARD_THREAD_PREFIX = "msropm-replica-shard"
 
 
 def complete_graph(num_nodes: int) -> Graph:
@@ -185,3 +194,136 @@ class TestReplicaRNG:
             replica.standard_normal((3, 4))  # wrong replica axis
         with pytest.raises(ValueError):
             ReplicaRNG([])
+
+    def test_noise_block_fills_a_reused_buffer(self):
+        """A short block drawn into a larger reused buffer is a view of it and
+        matches a fresh draw, for every generator kind."""
+        for make in (
+            lambda: make_rng(5),
+            lambda: ReplicaRNG.from_seeds([5, 6, 7]),
+            lambda: ThroughputRNG([5, 6, 7]),
+        ):
+            rng = make()
+            buffer = noise_buffer(rng, 5, (3, 4))
+            assert buffer.dtype == normal_noise_block(make(), 1, (3, 4)).dtype
+            first = normal_noise_block(rng, 5, (3, 4), out=buffer)
+            assert first.shape == (5, 3, 4)
+            reference = make()
+            assert np.array_equal(first, normal_noise_block(reference, 5, (3, 4)))
+            second = normal_noise_block(rng, 3, (3, 4), out=buffer)
+            assert np.shares_memory(second, buffer) and second.shape == (3, 3, 4)
+            assert np.array_equal(second, normal_noise_block(reference, 3, (3, 4)))
+
+
+def _shards_spawned(monkeypatch) -> list:
+    """Record the shard count of every thread pool :class:`BatchedEngine` opens."""
+    spawned: list = []
+    original = engine_module.ThreadPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        spawned.append(max_workers + 1)
+        return original(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", recording)
+    return spawned
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """Force the shard count: a thread budget of ``n`` and no size floor."""
+
+    def force(budget: int) -> None:
+        monkeypatch.setattr(engine_module, "replica_thread_budget", lambda: budget)
+        monkeypatch.setattr(engine_module, "MIN_SHARD_ELEMENTS", 1)
+
+    return force
+
+
+def _shard_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith(SHARD_THREAD_PREFIX)]
+
+
+class TestReplicaShards:
+    """Exact-tier batches split into replica ranges on threads, bit-identically."""
+
+    @pytest.mark.parametrize("detuning", [0.0, 0.01])
+    @pytest.mark.parametrize("replicas,budget", [(5, 1), (5, 2), (5, 3), (5, 5), (2, 4)])
+    def test_shards_match_unsharded_and_sequential(
+        self, fast_config, force_shards, monkeypatch, replicas, budget, detuning
+    ):
+        config = fast_config.with_updates(frequency_detuning_std=detuning)
+        machine = MSROPM(kings_graph(5, 5), config)
+        unsharded = machine.solve(iterations=replicas, seed=29, engine="batched")
+        sequential = machine.solve(iterations=replicas, seed=29, engine="sequential")
+        force_shards(budget)
+        spawned = _shards_spawned(monkeypatch)
+        sharded = machine.solve(iterations=replicas, seed=29, engine="batched")
+        expected = min(budget, replicas)
+        assert spawned == ([] if expected == 1 else [expected])
+        assert_equivalent_solves(unsharded, sharded, exact_phases=True)
+        assert_equivalent_solves(sequential, sharded, exact_phases=True)
+
+    def test_shard_count_rule(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "replica_thread_budget", lambda: 4)
+        floor = engine_module.MIN_SHARD_ELEMENTS
+        assert engine_module.replica_shards(40, 2116) == 4  # kings46: R x N >> floor
+        assert engine_module.replica_shards(40, (2 * floor - 1) // 40) == 1
+        assert engine_module.replica_shards(40, 2 * floor // 40 + 1) == 2
+        assert engine_module.replica_shards(10, 81) == 1  # a service-replay 9x9 job
+        assert engine_module.replica_shards(3, 10**6) == 3  # never more shards than replicas
+        monkeypatch.setattr(engine_module, "replica_thread_budget", lambda: 1)
+        assert engine_module.replica_shards(40, 2116) == 1
+
+    @pytest.mark.parametrize("batched_rng", [True, False])
+    def test_throughput_tier_never_shards(
+        self, fast_config, force_shards, monkeypatch, batched_rng
+    ):
+        machine = MSROPM(kings_graph(5, 5), fast_config)
+        engine = BatchedEngine(
+            precision="throughput",
+            throughput_options=ThroughputOptions(batched_rng=batched_rng),
+        )
+        reference = machine.solve(iterations=4, seed=8, engine=engine)
+        force_shards(4)
+        spawned = _shards_spawned(monkeypatch)
+        forced = machine.solve(iterations=4, seed=8, engine=engine)
+        assert spawned == []
+        assert_equivalent_solves(reference, forced, exact_phases=True)
+
+    def test_oversubscribed_shards_under_fast_thread_switching(
+        self, fast_config, force_shards
+    ):
+        """More shards than CPUs, switching threads every microsecond: every
+        run stays bit-identical to the unsharded batch (time-bounded)."""
+        machine = MSROPM(kings_graph(4, 4), fast_config.with_updates(num_colors=8))
+        reference = machine.solve(iterations=8, seed=41, engine="batched")
+        force_shards(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 3.0
+            runs = 0
+            while runs < 2 or (runs < 10 and time.monotonic() < deadline):
+                sharded = machine.solve(iterations=8, seed=41, engine="batched")
+                assert_equivalent_solves(reference, sharded, exact_phases=True)
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert not _shard_threads()
+
+    def test_shard_exception_propagates_and_no_thread_survives(
+        self, fast_config, force_shards, monkeypatch
+    ):
+        machine = MSROPM(kings_graph(4, 4), fast_config)
+        force_shards(3)
+        original = machine._score_stage_batch
+
+        def failing(stage_index, bits, group_values):
+            if threading.current_thread().name.startswith(SHARD_THREAD_PREFIX):
+                raise RuntimeError("shard failed")
+            return original(stage_index, bits, group_values)
+
+        monkeypatch.setattr(machine, "_score_stage_batch", failing)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            machine.solve(iterations=6, seed=2, engine="batched")
+        assert not _shard_threads()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.circuit.control import TimingPlan
 from repro.core.config import MSROPMConfig
+from repro.core.engine import replica_thread_budget
 from repro.exceptions import ConfigurationError
 from repro.runtime.cache import CACHE_SCHEMA_VERSION, ResultCache, integrity_hash
 from repro.runtime.executors import (
@@ -157,6 +158,32 @@ class CrashOnceJob(Job):
             path.write_text("died", encoding="utf-8")
             os._exit(1)
         return {"token": self.token}
+
+    def decode(self, payload):
+        return payload
+
+
+@dataclass(frozen=True)
+class BudgetJob(Job):
+    """Reports the replica-thread budget of the process that executes it."""
+
+    token: int
+
+    job_kind = "test-budget"
+
+    @property
+    def cacheable(self) -> bool:
+        return True
+
+    def describe(self):
+        return {"job_kind": self.job_kind, "token": self.token}
+
+    @property
+    def label(self) -> str:
+        return f"budget-{self.token}"
+
+    def execute(self):
+        return {"budget": replica_thread_budget(), "pid": os.getpid()}
 
     def decode(self, payload):
         return payload
@@ -417,6 +444,45 @@ class TestExecutorBackends:
         assert sentinel.exists()
         assert backend.broken_pool_retries == 1
         assert backend.pools_started == 2
+
+
+class TestReplicaThreadBudget:
+    """Worker processes solve on one replica thread, like their BLAS pools."""
+
+    @fork_only
+    def test_pool_workers_get_one_replica_thread(self):
+        backend = LocalPoolExecutorBackend(workers=2)
+        try:
+            payloads = backend.run_payloads([BudgetJob(token) for token in range(2)])
+        finally:
+            backend.close()
+        assert all(payload["pid"] != os.getpid() for payload in payloads)
+        assert [payload["budget"] for payload in payloads] == [1, 1]
+
+    @fork_only
+    def test_fleet_worker_child_gets_one_replica_thread(self, tmp_path):
+        spool = JobSpool(tmp_path / "spool")
+        spool.ensure()
+        job = BudgetJob(0)
+        spool.enqueue(job)
+        child = multiprocessing.Process(target=run_fleet_worker, args=(str(spool.root),))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        payload = spool.load_result(job.job_hash)
+        assert payload["pid"] != os.getpid()
+        assert payload["budget"] == 1
+
+    def test_spool_submitter_caps_only_while_children_drain(self, tmp_path, monkeypatch):
+        full = replica_thread_budget()
+        alone = SpoolExecutorBackend(tmp_path / "alone", workers=1, poll_interval=0.01)
+        assert alone.run_payloads([BudgetJob(1)])[0]["budget"] == full
+        beside = SpoolExecutorBackend(tmp_path / "beside", workers=2, poll_interval=0.01)
+        monkeypatch.setattr(beside, "_ensure_children", lambda: None)  # no real children
+        (payload,) = beside.run_payloads([BudgetJob(2)])
+        assert payload["pid"] == os.getpid()  # the submitter ran it itself
+        assert payload["budget"] == 1
+        assert replica_thread_budget() == full  # the cap is lifted afterwards
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,13 @@ The satellite contract these tests pin down:
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -729,3 +735,42 @@ class TestHTTPTransport:
 
         with pytest.raises(ReproError, match="no service endpoint record"):
             discover_endpoint(tmp_path / "nowhere")
+
+
+# ----------------------------------------------------------------------
+# `msropm serve` as a real process: graceful stop on SIGINT and SIGTERM.
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix", reason="POSIX signals")
+class TestServeShutdown:
+    @pytest.mark.parametrize("stop_signal", ["SIGINT", "SIGTERM"])
+    def test_stops_gracefully_even_with_sigint_inherited_as_ignored(self, tmp_path, stop_signal):
+        """Started like a non-interactive shell's background job (SIGINT
+        ignored), the server still exits 0 and removes its endpoint record."""
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        cache_dir = tmp_path / "cache"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--cache-dir", str(cache_dir),
+             "--port", "0", "--workers", "1"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        state = ServiceState(cache_dir)
+        try:
+            deadline = time.monotonic() + 60.0
+            while state.read_endpoint() is None:
+                assert process.poll() is None, "the server exited before publishing"
+                assert time.monotonic() < deadline, "no endpoint record within 60 s"
+                time.sleep(0.05)
+            process.send_signal(getattr(signal, stop_signal))
+            assert process.wait(timeout=10.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert not state.endpoint_path.exists()

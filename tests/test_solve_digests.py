@@ -172,6 +172,23 @@ def test_solve_digest_matches_golden(name, run):
     assert canonical_digest(run()) == golden["digests"][name]
 
 
+SHARDABLE_CASES = [
+    (name, run) for name, run in digest_cases() if name.startswith(("exact/", "chunked/"))
+]
+
+
+@pytest.mark.parametrize("name,run", SHARDABLE_CASES, ids=[name for name, _ in SHARDABLE_CASES])
+def test_solve_digest_matches_golden_with_forced_shards(name, run, monkeypatch):
+    """Batched exact-tier solves split into one replica shard per replica."""
+    from repro.core import engine
+
+    golden = _golden()
+    _require_environment(golden)
+    monkeypatch.setattr(engine, "replica_thread_budget", lambda: ITERATIONS)
+    monkeypatch.setattr(engine, "MIN_SHARD_ELEMENTS", 1)
+    assert canonical_digest(run()) == golden["digests"][name]
+
+
 def test_chunk_sizes_share_one_digest():
     """Every chunk size merges to one digest (chunking never changes results)."""
     golden = _golden()["digests"]
