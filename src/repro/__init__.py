@@ -25,7 +25,6 @@ from repro.core import (
     BatchedEngine,
     SequentialEngine,
     SolverEngine,
-    divide_and_color,
     solve_coloring,
 )
 from repro.graphs import (
@@ -67,7 +66,6 @@ __all__ = [
     "SolveResult",
     "StageResult",
     "solve_coloring",
-    "divide_and_color",
     "SolverEngine",
     "SequentialEngine",
     "BatchedEngine",

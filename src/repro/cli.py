@@ -85,6 +85,7 @@ from typing import List, Optional
 
 from repro.analysis.reporting import format_table, summarize_campaign_totals
 from repro.core.config import MSROPMConfig
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.fig3_waveforms import render_figure3, run_figure3
 from repro.experiments.fig5_accuracy import render_figure5, run_figure5
 from repro.experiments.scenario_matrix import SCENARIO_BASELINES, run_scenario_matrix
@@ -764,9 +765,21 @@ def _run_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_names(value: str, option: Optional[str] = None) -> List[str]:
+    """The non-blank names of a comma-separated option value.
+
+    With ``option`` given, a value that names nothing (``--family ,``) is an
+    error instead of an empty selection.
+    """
+    names = [name.strip() for name in value.split(",") if name.strip()]
+    if option is not None and not names:
+        raise ConfigurationError(f"{option} {value!r} names no workload family")
+    return names
+
+
 def _run_scenarios(args: argparse.Namespace) -> int:
-    families = [name.strip() for name in args.family.split(",") if name.strip()] if args.family else None
-    baselines = [name.strip() for name in args.baselines.split(",") if name.strip()]
+    families = _split_names(args.family, "--family") if args.family else None
+    baselines = _split_names(args.baselines)
     with runner_from_args(args) as runner:
         result = run_scenario_matrix(
             families=families,
@@ -805,7 +818,7 @@ def _run_equivalence(args: argparse.Namespace) -> int:
     )
 
     families = (
-        [name.strip() for name in args.family.split(",") if name.strip()]
+        _split_names(args.family, "--family")
         if args.family
         else list(DEFAULT_EQUIVALENCE_FAMILIES)
     )
@@ -1024,11 +1037,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.iterations is not None:
         params["iterations"] = args.iterations
     if args.family:
-        params["families"] = [name.strip() for name in args.family.split(",") if name.strip()]
+        params["families"] = _split_names(args.family, "--family")
     if args.baselines is not None:
-        params["baselines"] = [
-            name.strip() for name in args.baselines.split(",") if name.strip()
-        ]
+        params["baselines"] = _split_names(args.baselines)
     with runner_from_args(args) as runner:
         result = run_campaign(
             spec,
@@ -1196,11 +1207,10 @@ def _run_client(args: argparse.Namespace) -> int:
         spec: dict = {}
         if args.scenario_families is not None:
             spec["kind"] = "scenarios"
-            families = [
-                name.strip() for name in args.scenario_families.split(",") if name.strip()
-            ]
-            if families:
-                spec["families"] = families
+            if args.scenario_families:
+                spec["families"] = _split_names(
+                    args.scenario_families, "--scenario-families"
+                )
         else:
             spec["kind"] = "solve"
             spec["rows"] = args.rows
@@ -1263,9 +1273,22 @@ def _run_dev(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``msropm`` command."""
+    """Entry point of the ``msropm`` command.
+
+    A :class:`ReproError` (a bad option value the library rejects) prints
+    ``msropm: error: <message>`` and exits 2, like an argparse usage error;
+    any other exception propagates.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run_command(parser, args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "solve":
         return _run_solve(args)
     if args.command == "table1":

@@ -37,9 +37,8 @@ compatible path that never mutates the array a callback returns, so arbitrary
 ``f(t, theta)`` lambdas remain safe.
 
 When only the final state is needed (the default solve path — intermediate
-states of a solve are never read), :func:`euler_maruyama_final` and
-:func:`rk4_final` skip trajectory recording entirely and return the final
-phase array.
+states of a solve are never read), :func:`euler_maruyama_final` skips
+trajectory recording entirely and returns the final phase array.
 """
 
 from __future__ import annotations
@@ -166,8 +165,8 @@ def _rk4_loop(
     num_steps: int,
     step: float,
     start_time: float,
-    recorder: Optional[_Recorder],
-) -> np.ndarray:
+    recorder: _Recorder,
+) -> None:
     """Advance ``theta`` through ``num_steps`` RK4 steps (in place).
 
     With the ``evaluate_into`` protocol the four stage derivatives live in
@@ -185,9 +184,8 @@ def _rk4_loop(
             k4 = rhs(time + step, theta + step * k3)
             theta += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             time = start_time + (index + 1) * step
-            if recorder is not None:
-                recorder.record(index, time, theta)
-        return theta
+            recorder.record(index, time, theta)
+        return
     k1 = np.empty_like(theta)
     k2 = np.empty_like(theta)
     k3 = np.empty_like(theta)
@@ -218,9 +216,7 @@ def _rk4_loop(
         np.multiply(k1, step / 6.0, out=k1)
         np.add(theta, k1, out=theta)
         time = start_time + (index + 1) * step
-        if recorder is not None:
-            recorder.record(index, time, theta)
-    return theta
+        recorder.record(index, time, theta)
 
 
 def _euler_maruyama_loop(
@@ -295,27 +291,6 @@ def integrate_rk4(
     recorder = _Recorder(theta, num_steps, record_every, start_time)
     _rk4_loop(rhs, theta, num_steps, step, start_time, recorder)
     return recorder.trajectory()
-
-
-def rk4_final(
-    rhs: RHS,
-    initial_phases: np.ndarray,
-    duration: float,
-    dt: float,
-    start_time: float = 0.0,
-    dtype=float,
-) -> np.ndarray:
-    """Final-state RK4: like :func:`integrate_rk4` but records nothing.
-
-    Returns the phase array after the last step; no intermediate state is
-    ever materialized.  Bit-identical to ``integrate_rk4(...).final_phases``
-    at the default ``dtype`` (float64); the throughput precision tier passes
-    ``dtype=np.float32``, which threads through every ``out=``-based update.
-    """
-    num_steps = _validate_step(duration, dt)
-    step = duration / num_steps
-    theta = np.array(initial_phases, dtype=dtype)
-    return _rk4_loop(rhs, theta, num_steps, step, start_time, None)
 
 
 def integrate_euler_maruyama(

@@ -214,6 +214,8 @@ def run_equivalence(
 
     if not families:
         raise ConfigurationError("the equivalence harness needs at least one family")
+    if not tolerance > 0:
+        raise ConfigurationError(f"tolerance must be > 0, got {tolerance:g}")
     runner = runner or ExperimentRunner()
     start = time.perf_counter()
     instances = expand_workloads(list(families), base_seed=seed)

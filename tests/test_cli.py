@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _split_names, build_parser, main
+from repro.exceptions import ConfigurationError
 
 
 class TestParser:
@@ -186,6 +187,68 @@ class TestWorkloadsCommands:
         assert "3 job(s) solved, 0 cache hit(s)" in cold_out
         assert "0 job(s) solved, 3 cache hit(s)" in warm_out
         assert cold_out.split("scenarios:")[0] == warm_out.split("scenarios:")[0]
+
+
+class TestErrorExit:
+    """A bad option value is a one-line usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--rows", "0"], "rows must be a positive integer"),
+            (["solve", "--iterations", "0"], "total_iterations must be at least 1"),
+            (["solve", "--colors", "3"], "num_colors must be a power of two"),
+            (["solve", "--workers", "0"], "workers must be >= 1"),
+            (["solve", "--replica-chunk", "0"], "replica_chunk must be >= 1"),
+            (["scenarios", "--family", "nope"], "unknown workload family 'nope'"),
+            (["scenarios", "--family", ","], "--family ',' names no workload family"),
+            (["campaign", "run", "scenarios", "--family", " , "], "names no workload family"),
+            (["equivalence", "--tolerance", "-1"], "tolerance must be > 0, got -1"),
+            (["equivalence", "--tolerance", "0"], "tolerance must be > 0, got 0"),
+            (
+                ["client", "submit", "--endpoint", "http://127.0.0.1:9",
+                 "--scenario-families", ","],
+                "--scenario-families ',' names no workload family",
+            ),
+            (["table1", "--iterations", "0"], "total_iterations must be at least 1"),
+            (["fig5", "--iterations", "0"], "total_iterations must be at least 1"),
+            (["suite", "--scale", "0"], "scale must be in (0, 1]"),
+            (["scenarios", "--iterations", "0"], "iterations must be at least 1"),
+            (["campaign", "run", "nope"], "unknown campaign 'nope'"),
+            (["equivalence", "--family", "nope"], "unknown workload family 'nope'"),
+        ],
+    )
+    def test_bad_value_prints_one_error_line(self, argv, message, capsys, tmp_path):
+        if argv[0] != "client":
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("msropm: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestSplitNames:
+    """The one parser of comma-separated name lists (families, baselines)."""
+
+    @pytest.mark.parametrize(
+        "value, names",
+        [
+            ("er", ["er"]),
+            ("er,dimacs", ["er", "dimacs"]),
+            (" er , ,dimacs ,", ["er", "dimacs"]),
+            ("", []),
+            (" , ", []),
+        ],
+    )
+    def test_blank_pieces_are_dropped(self, value, names):
+        assert _split_names(value) == names
+
+    def test_option_rejects_a_value_that_names_nothing(self):
+        assert _split_names(" kings ,", "--family") == ["kings"]
+        with pytest.raises(ConfigurationError, match="--family ' , ' names no workload family"):
+            _split_names(" , ", "--family")
 
 
 class TestRunnerLifecycle:

@@ -1,4 +1,4 @@
-"""Tests for the MSROPM machine, stage execution, mapping and divide-and-color."""
+"""Tests for the MSROPM machine, stage execution and mapping."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit.control import TimingPlan
 from repro.exceptions import ConfigurationError, MappingError, StageError
 from repro.core import (
     MSROPM,
     MSROPMConfig,
     StageExecutor,
     binarize_against_offsets,
-    coloring_from_stage_bits,
-    divide_and_color,
     group_offsets,
     identity_mapping,
-    local_search_maxcut_solver,
     map_to_kings_fabric,
     partition_coupling_matrix,
     solve_coloring,
@@ -27,10 +25,10 @@ from repro.graphs import (
     cycle_graph,
     grid_graph,
     kings_graph,
-    kings_graph_reference_coloring,
 )
 from repro.ising import kings_graph_reference_cut
 from repro.rng import make_rng
+from repro.units import ns
 
 
 class TestStageHelpers:
@@ -214,56 +212,50 @@ class TestMachine:
         result = machine.solve(iterations=3, seed=8)
         assert result.best_accuracy >= 0.9
 
-
-class TestDivideAndColor:
-    def test_software_divide_and_color_matches_machine_decomposition(self):
-        graph = kings_graph(6, 6)
-        result = divide_and_color(graph, num_colors=4, seed=0)
-        assert result.num_stages == 2
-        assert result.coloring.covers(graph)
-        assert result.coloring.accuracy(graph) >= 0.9
-
-    def test_perfect_stage_cuts_give_proper_coloring(self):
-        """Feeding the reference partitions through the bit composition yields the exact coloring."""
-        graph = kings_graph(5, 5)
-        reference = kings_graph_reference_coloring(5, 5)
-        stage_bits = [
-            {node: (reference.color_of(node) >> 0) & 1 for node in graph.nodes},
-            {node: (reference.color_of(node) >> 1) & 1 for node in graph.nodes},
-        ]
-        composed = coloring_from_stage_bits(graph, stage_bits, 4)
-        assert composed.is_proper(graph)
-        assert composed.assignment == reference.assignment
-
-    def test_two_color_divide_and_color_on_bipartite(self):
-        graph = grid_graph(4, 4)
-        result = divide_and_color(graph, num_colors=2, seed=1)
-        # The default solver is a 1-exchange local search, which may stop in a
-        # local optimum; it must still cover the graph and cut most edges.
-        assert result.coloring.covers(graph)
-        assert result.coloring.accuracy(graph) >= 0.75
-        assert result.stage_cut_values[0] == graph.num_edges - result.coloring.num_conflicts(graph)
-
-    def test_eight_colors_runs_three_stages(self):
+    def test_eight_colors_runs_three_stages(self, fast_config):
         graph = kings_graph(4, 4)
-        result = divide_and_color(graph, num_colors=8, seed=2)
-        assert result.num_stages == 3
-        assert result.coloring.num_colors == 8
+        machine = MSROPM(graph, fast_config.with_updates(num_colors=8))
+        iteration = machine.run_iteration(seed=2)
+        assert [stage.stage_index for stage in iteration.stage_results] == [1, 2, 3]
+        assert iteration.coloring.num_colors == 8
+        assert iteration.coloring.covers(graph)
 
-    def test_validation(self):
-        graph = kings_graph(3, 3)
-        with pytest.raises(ConfigurationError):
-            divide_and_color(graph, num_colors=3)
-        with pytest.raises(ConfigurationError):
-            coloring_from_stage_bits(graph, [], 4)
-        with pytest.raises(ConfigurationError):
-            local_search_maxcut_solver(passes=0)
-        with pytest.raises(ConfigurationError):
-            coloring_from_stage_bits(graph, [{node: 2 for node in graph.nodes}], 2)
+    def test_color_composes_every_stage_bit(self, fast_config):
+        """Stage s contributes bit s-1 of the final color (divide-and-color)."""
+        machine = MSROPM(kings_graph(4, 4), fast_config.with_updates(num_colors=8))
+        iteration = machine.run_iteration(seed=6)
+        for node in machine.graph.nodes:
+            composed = sum(
+                stage.partition.side_of(node) << (stage.stage_index - 1)
+                for stage in iteration.stage_results
+            )
+            assert iteration.coloring.color_of(node) == composed
+
+    def test_stage_cuts_account_for_every_edge(self, fast_config):
+        """Each edge is either cut by exactly one stage or left a conflict."""
+        graph = kings_graph(5, 5)
+        iteration = MSROPM(graph, fast_config).run_iteration(seed=4)
+        total_cut = sum(stage.cut_value for stage in iteration.stage_results)
+        assert total_cut + iteration.coloring.num_conflicts(graph) == graph.num_edges
+
+    def test_two_color_stage_cut_counts_non_conflicts(self, fast_binary_config):
+        graph = grid_graph(4, 4)
+        iteration = MSROPM(graph, fast_binary_config).run_iteration(seed=1)
+        assert len(iteration.stage_results) == 1
+        assert iteration.stage_results[0].cut_value == (
+            graph.num_edges - iteration.coloring.num_conflicts(graph)
+        )
 
     @given(seed=st.integers(min_value=0, max_value=100))
-    @settings(max_examples=10, deadline=None)
-    def test_divide_and_color_accuracy_bounded(self, seed):
-        graph = kings_graph(4, 4)
-        result = divide_and_color(graph, num_colors=4, seed=seed)
-        assert 0.0 <= result.coloring.accuracy(graph) <= 1.0
+    @settings(max_examples=5, deadline=None)
+    def test_accuracy_bounded_for_any_seed(self, seed):
+        graph = kings_graph(3, 3)
+        config = MSROPMConfig(
+            num_colors=4,
+            timing=TimingPlan(initialization=ns(1.0), annealing=ns(4.0), shil_settling=ns(2.0)),
+            time_step=0.05e-9,
+        )
+        iteration = MSROPM(graph, config).run_iteration(seed=seed)
+        assert iteration.coloring.covers(graph)
+        assert 0.0 <= iteration.accuracy <= 1.0
+        assert iteration.accuracy == pytest.approx(iteration.coloring.accuracy(graph))

@@ -31,6 +31,7 @@ from repro.devtools.analyzer import (
     run_lint,
 )
 from repro.devtools.checkers.atomicity import AtomicityChecker
+from repro.devtools.checkers.dead_code import DeadCodeChecker
 from repro.devtools.checkers.determinism import DeterminismChecker
 from repro.devtools.checkers.hotpath import HotPathChecker
 from repro.devtools.checkers.schema_coupling import SchemaCouplingChecker
@@ -484,6 +485,200 @@ class TestSchemaManifest:
         findings = SchemaCouplingChecker().check_project(root, LintConfig(root=root))
         assert rules_of(findings) == ["schema-manifest"]
         assert "missing" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# Dead-code checker (project-level import reachability).
+
+
+def _write_tree(root: Path, files: dict) -> Path:
+    for relpath, source in files.items():
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    return root
+
+
+def _dead_code(root: Path, allowlist=None):
+    checker = DeadCodeChecker(allowlist=allowlist or {})
+    return checker.check_project(root, LintConfig(root=root))
+
+
+def _flagged_paths(findings):
+    assert set(rules_of(findings)) <= {"dead-code"}
+    return sorted(finding.path for finding in findings)
+
+
+_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/cli.py": "from repro.core import solve\n\ndef main():\n    return solve()\n",
+    "src/repro/core/__init__.py": (
+        "from repro.core.machine import solve\nfrom repro.core.legacy import old\n"
+    ),
+    "src/repro/core/machine.py": (
+        "def solve():\n    from repro.core.helpers import helper\n    return helper()\n"
+    ),
+    "src/repro/core/helpers.py": "def helper():\n    return 1\n",
+    "src/repro/core/legacy.py": "def old():\n    return 0\n",
+    "src/repro/orphan.py": "import repro.core.helpers\n",
+    "src/repro/study.py": "from repro.science import measure\n",
+    "src/repro/science.py": "def measure():\n    return 2\n",
+}
+
+
+class TestDeadCodeChecker:
+    def test_unreached_module_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _TREE)
+        paths = _flagged_paths(_dead_code(root))
+        assert "src/repro/orphan.py" in paths
+        # A function-local import in a reached module counts as reaching.
+        assert "src/repro/core/helpers.py" not in paths
+
+    def test_module_reached_only_through_init_reexport_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _TREE)
+        assert _flagged_paths(_dead_code(root)) == [
+            "src/repro/core/legacy.py",
+            "src/repro/orphan.py",
+            "src/repro/science.py",
+            "src/repro/study.py",
+        ]
+
+    def test_allowlisted_module_and_its_imports_pass(self, tmp_path):
+        root = _write_tree(tmp_path, _TREE)
+        findings = _dead_code(root, allowlist={"repro.study": "kept for a paper figure"})
+        assert _flagged_paths(findings) == ["src/repro/core/legacy.py", "src/repro/orphan.py"]
+
+    def test_example_scripts_are_entry_points(self, tmp_path):
+        root = _write_tree(
+            tmp_path, {**_TREE, "examples/demo.py": "from repro.core import old\n"}
+        )
+        assert "src/repro/core/legacy.py" not in _flagged_paths(_dead_code(root))
+
+    def test_stale_allowlist_entries_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _TREE)
+        findings = _dead_code(
+            root,
+            allowlist={
+                "repro.gone": "deleted long ago",
+                "repro.core.machine": "reached by the CLI anyway",
+                "repro.orphan": " ",
+                "repro.study": "kept on purpose",
+            },
+        )
+        allowlist_path = "src/repro/devtools/checkers/dead_code.py"
+        assert [f.message for f in findings if f.path == allowlist_path] == [
+            "allowlist entry 'repro.core.machine' names a module the entry points already reach",
+            "allowlist entry 'repro.gone' names a module that does not exist",
+            "allowlist entry 'repro.orphan' gives no reason",
+        ]
+        assert [f.path for f in findings if f.path != allowlist_path] == [
+            "src/repro/core/legacy.py"
+        ]
+
+    def test_names_an_init_defines_keep_their_imports(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "from repro.checks import CHECKERS\n",
+                "src/repro/checks/__init__.py": (
+                    "from repro.checks.first import First\n"
+                    "from repro.checks.second import Second\n"
+                    "from repro.checks.unused import Unused\n\n"
+                    "CHECKERS = [First, Second]\n"
+                ),
+                "src/repro/checks/first.py": "class First:\n    pass\n",
+                "src/repro/checks/second.py": "class Second:\n    pass\n",
+                "src/repro/checks/unused.py": "class Unused:\n    pass\n",
+            },
+        )
+        assert _flagged_paths(_dead_code(root)) == ["src/repro/checks/unused.py"]
+
+    def test_service_and_campaign_roots_are_entry_points(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "",
+                "src/repro/service.py": "import repro.http\n",
+                "src/repro/http.py": "",
+                "src/repro/campaigns/__init__.py": "",
+                "src/repro/campaigns/builtin.py": "from repro.plans import plan\n",
+                "src/repro/plans.py": "def plan():\n    return []\n",
+                "src/repro/spare.py": "",
+            },
+        )
+        assert _flagged_paths(_dead_code(root)) == ["src/repro/spare.py"]
+
+    def test_import_cycle_is_walked_once(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "import repro.ping\n",
+                "src/repro/ping.py": "import repro.pong\n",
+                "src/repro/pong.py": "from repro.ping import *\nimport repro.tail\n",
+                "src/repro/tail.py": "",
+                "src/repro/island_a.py": "import repro.island_b\n",
+                "src/repro/island_b.py": "import repro.island_a\n",
+            },
+        )
+        # A cycle no root reaches stays unreached: neither member is a root.
+        assert _flagged_paths(_dead_code(root)) == [
+            "src/repro/island_a.py",
+            "src/repro/island_b.py",
+        ]
+
+    def test_submodule_named_in_from_import_is_reached(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {**_TREE, "src/repro/cli.py": "from repro.core import legacy, solve\n"},
+        )
+        assert "src/repro/core/legacy.py" not in _flagged_paths(_dead_code(root))
+
+    def test_dotted_import_loads_every_parent_package(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "import repro.deep.inner.leaf\n",
+                "src/repro/deep/__init__.py": "",
+                "src/repro/deep/inner/__init__.py": "",
+                "src/repro/deep/inner/leaf.py": "",
+                "src/repro/deep/inner/sibling.py": "",
+            },
+        )
+        assert _flagged_paths(_dead_code(root)) == ["src/repro/deep/inner/sibling.py"]
+
+    def test_init_statements_run_on_every_load(self, tmp_path):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "from repro.plugins import hook\n",
+                "src/repro/plugins/__init__.py": (
+                    "from repro.plugins.hooks import hook\n"
+                    "from repro.plugins.registry import register\n"
+                    "from repro.plugins.extra import unused\n\n"
+                    "register(hook)\n"
+                ),
+                "src/repro/plugins/hooks.py": "def hook():\n    pass\n",
+                "src/repro/plugins/registry.py": "def register(fn):\n    return fn\n",
+                "src/repro/plugins/extra.py": "def unused():\n    pass\n",
+            },
+        )
+        assert _flagged_paths(_dead_code(root)) == ["src/repro/plugins/extra.py"]
+
+    def test_finding_names_the_module_and_the_fix(self, tmp_path):
+        root = _write_tree(tmp_path, _TREE)
+        finding = next(f for f in _dead_code(root) if f.path == "src/repro/orphan.py")
+        assert finding.rule == "dead-code"
+        assert finding.line == 1
+        assert finding.message == "module 'repro.orphan' is not reachable from any entry point"
+        assert "ALLOWLIST" in finding.hint
+
+    def test_repo_has_no_dead_modules(self):
+        assert run_lint(REPO_ROOT, rules=["dead-code"]) == []
 
 
 # ----------------------------------------------------------------------

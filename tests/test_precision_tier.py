@@ -338,6 +338,25 @@ class TestEquivalenceHarness:
         rendered = result.render()
         assert "PASS" in rendered
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tolerance": 0.0}, "tolerance must be > 0"),
+            ({"tolerance": -1.0}, "tolerance must be > 0"),
+            ({"tolerance": float("nan")}, "tolerance must be > 0"),
+            ({"families": ()}, "at least one family"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_solving(self, kwargs, message):
+        from repro.experiments.equivalence import run_equivalence
+
+        class _NoSolves:
+            def __getattr__(self, name):
+                raise AssertionError(f"the runner was used ({name}) before validation")
+
+        with pytest.raises(ConfigurationError, match=message):
+            run_equivalence(iterations=2, runner=_NoSolves(), **kwargs)
+
     def test_detects_a_shifted_distribution(self):
         from repro.experiments.equivalence import (
             EquivalenceResult,
