@@ -28,7 +28,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments.suite import run_suite
+from repro.campaigns import get_campaign, run_campaign
 from repro.runtime.atomic import write_atomic_json
 from repro.runtime.runner import ExperimentRunner
 
@@ -48,11 +48,14 @@ def _fingerprint(result):
 
 
 def _timed_suite(runner):
+    """One ledgerless suite campaign, as ``msropm suite`` runs it."""
     start = time.perf_counter()
-    result = run_suite(
-        scale=BENCH_SCALE, iterations=BENCH_ITERATIONS, seed=BENCH_SEED, runner=runner
+    run = run_campaign(
+        get_campaign("suite"),
+        {"scale": BENCH_SCALE, "iterations": BENCH_ITERATIONS, "seed": BENCH_SEED},
+        runner=runner,
     )
-    return result, time.perf_counter() - start
+    return run.final_output, time.perf_counter() - start
 
 
 def test_bench_runtime_suite(tmp_path):

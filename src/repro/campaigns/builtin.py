@@ -1,11 +1,12 @@
-"""Built-in campaigns: the paper suite and the scenario matrix, re-expressed
-as declarative multi-stage campaigns.
+"""Built-in campaigns: the paper suite and the scenario matrix as declarative
+multi-stage campaigns.
 
-``msropm suite`` and ``msropm scenarios`` remain the ephemeral one-shot
-commands; the campaigns here are the same evaluations with a control plane:
-stages with explicit dependencies, a persistent run ledger, and crash-safe
-resume.  Both forms share planners — and therefore job hashes — so a suite
-run warms the suite campaign's cache and vice versa.
+Each evaluation has one orchestration path, the campaign here, started two
+ways: ``msropm suite`` / ``msropm scenarios`` run it without a ledger (one
+shot, nothing recorded), and ``msropm campaign run suite|scenarios`` runs it
+with a persistent run ledger, which adds crash-safe resume.  Both forms plan
+the same jobs — and therefore the same job hashes — so either one warms the
+other's cache, and they print the same tables.
 
 * ``suite`` — Table 1, Table 2 and Figure 5 as separate stages.  The Fig. 5
   stage *requires* the Table 1 stage: Fig. 5 re-plots the sizes Table 1
@@ -177,7 +178,10 @@ register_campaign(
 # The scenario matrix as a campaign
 # ----------------------------------------------------------------------
 def _scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.scenario_matrix import SCENARIO_BASELINES
+    """The scenario-matrix keywords of ``params``, with unknown baselines
+    rejected here: every stage's planner calls this first, so a bad name
+    fails the run before any job is solved or cached."""
+    from repro.experiments.scenario_matrix import SCENARIO_BASELINES, check_baseline_names
 
     families = params.get("families")
     baselines = params.get("baselines")
@@ -186,13 +190,15 @@ def _scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
     # only covers missing keys).
     iterations = params.get("iterations")
     seed = params.get("seed")
+    baselines = tuple(baselines) if baselines is not None else SCENARIO_BASELINES
+    check_baseline_names(baselines)
     return dict(
         families=list(families) if families is not None else None,
         iterations=int(iterations) if iterations is not None else 5,
         seed=int(seed) if seed is not None else 2025,
         engine=params.get("engine"),
         precision=params.get("precision"),
-        baselines=tuple(baselines) if baselines is not None else SCENARIO_BASELINES,
+        baselines=baselines,
     )
 
 

@@ -22,7 +22,9 @@ byte-identical to an uninterrupted run's.
 Failure policy: a stage whose batch (or reducer) raises is marked ``FAILED``
 and its transitive dependents ``BLOCKED`` — all recorded — before the error
 propagates as :class:`CampaignError`.  Resuming such a run retries the failed
-stage from scratch (its previous state replays as not-started).
+stage from scratch (its previous state replays as not-started).  A run
+without a ledger (the one-shot ``msropm suite`` / ``msropm scenarios``) has
+no run to name or resume, so the stage's own error propagates unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from repro.runtime.jobs import Job
 from repro.runtime.runner import ExperimentRunner
 
 #: Test/CI hook: when set to a stage name, the orchestrator hard-exits the
-#: process right after that stage's ``stage_passed`` ledger record — a
+#: process right after that stage's ``stage_passed`` ledger record (runs
+#: without a ledger have nothing to resume and ignore it) — a
 #: reproducible stand-in for "the machine died mid-campaign" that the
 #: campaign-smoke CI job uses to exercise resume.
 KILL_AFTER_ENV = "MSROPM_CAMPAIGN_KILL_AFTER"
@@ -140,7 +143,8 @@ def run_campaign(
         Execution runtime shared by all stages (``None`` = serial, uncached —
         legal, but resume then recomputes instead of loading).
     ledger:
-        Run journal; ``None`` runs ephemerally (no persistence, no resume).
+        Run journal; ``None`` runs ephemerally (no persistence, no resume; a
+        failing stage raises its own error, not :class:`CampaignError`).
     run_id:
         Explicit id for a new run, or the id to resume when ``resume=True``.
     log:
@@ -372,6 +376,10 @@ def _run_stage(
             if sinks is not None:
                 sinks.emit(dict(blocked_event, run_id=run_id))
             log(f"  stage {blocked}: blocked (depends on failed {name})")
+        if ledger is None:
+            # No ledger records the run, so there is no run to name: the
+            # caller sees the stage's own error.
+            raise
         raise CampaignError(f"stage {name!r} of run {run_id!r} failed: {exc}") from exc
     recomputed = runner.jobs_run - jobs_before
     context.outputs[name] = output
@@ -387,7 +395,8 @@ def _run_stage(
         f"  stage {name}: passed "
         f"({len(jobs)} job(s), {recomputed} computed, {len(jobs) - recomputed} served)"
     )
-    _maybe_simulate_kill(name, runner, log)
+    if ledger is not None:
+        _maybe_simulate_kill(name, runner, log)
     return StageReport(
         name=name,
         requires=machine.requires(name),

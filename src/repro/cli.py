@@ -28,7 +28,8 @@ Reproduce the paper's tables and figures (optionally scaled down)::
     msropm fig5 --scale 0.25
     msropm fig3
 
-Run the whole evaluation in one sharded, cached pass::
+Run the whole evaluation, stage by stage through one sharded, cached
+runner::
 
     msropm suite --scale 0.25 --workers 4 --cache-dir ~/.cache/msropm
 
@@ -38,9 +39,10 @@ Inspect the workload zoo and run the scenario matrix across it::
     msropm workloads show --family er
     msropm scenarios --family er,regular,planar,dimacs --workers 4
 
-Run the same evaluations as resumable multi-stage campaigns (persistent run
+``suite`` and ``scenarios`` run the built-in campaigns of the same names
+without a ledger.  Run them with one to make them resumable (persistent run
 ledger under the cache dir; a killed run resumes from its last completed
-stage with zero recomputation)::
+stage with zero recomputation); the printed tables are the same::
 
     msropm campaign run suite --scale 0.25 --workers 4
     msropm campaign list
@@ -88,8 +90,7 @@ from repro.core.config import MSROPMConfig
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.fig3_waveforms import render_figure3, run_figure3
 from repro.experiments.fig5_accuracy import render_figure5, run_figure5
-from repro.experiments.scenario_matrix import SCENARIO_BASELINES, run_scenario_matrix
-from repro.experiments.suite import run_suite
+from repro.experiments.scenario_matrix import SCENARIO_BASELINES
 from repro.experiments.table1_stats import run_table1
 from repro.experiments.table2_comparison import run_table2
 from repro.graphs.generators import kings_graph
@@ -106,8 +107,13 @@ from repro.runtime.spool import (
 from repro.workloads import default_workload, family_names, get_family, iter_families
 
 
-def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the experiment-runtime flags shared by all solve-heavy commands."""
+def add_runtime_arguments(parser: argparse.ArgumentParser, service: bool = False) -> None:
+    """Attach the experiment-runtime flags shared by all solve-heavy commands.
+
+    ``service=True`` leaves out ``--no-cache`` and ``--replica-chunk``: the
+    service keys its tickets by job hash in the durable cache and plans
+    every solve as one unsplit job.
+    """
     parser.add_argument(
         "--workers",
         type=int,
@@ -120,18 +126,19 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory of the content-addressed result cache "
         "(default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this run",
-    )
-    parser.add_argument(
-        "--replica-chunk",
-        type=int,
-        default=None,
-        help="split each solve into jobs of at most this many iterations "
-        "(chunk boundaries are independent of --workers, so cache keys are too)",
-    )
+    if not service:
+        parser.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="disable the on-disk result cache for this run",
+        )
+        parser.add_argument(
+            "--replica-chunk",
+            type=int,
+            default=None,
+            help="split each solve into jobs of at most this many iterations "
+            "(chunk boundaries are independent of --workers, so cache keys are too)",
+        )
     parser.add_argument(
         "--executor",
         choices=EXECUTOR_NAMES,
@@ -161,7 +168,8 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     worker pool (and the service's drain thread) is released on success *and*
     on error exits alike — no ``ProcessPoolExecutor`` outlives a command.
     """
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
+    no_cache = getattr(args, "no_cache", False)
+    cache_dir = None if no_cache else (args.cache_dir or default_cache_dir())
     executor = getattr(args, "executor", "local")
     executor_options = {}
     if executor == "spool":
@@ -171,12 +179,58 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     return ExperimentRunner(
         workers=args.workers,
         cache_dir=cache_dir,
-        replica_chunk=args.replica_chunk,
+        replica_chunk=getattr(args, "replica_chunk", None),
         executor=executor,
         spool_dir=getattr(args, "spool_dir", None),
         executor_options=executor_options,
         max_pending=getattr(args, "max_pending", None),
     )
+
+
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach ``--engine`` and ``--precision`` (how each solve runs)."""
+    parser.add_argument(
+        "--engine",
+        choices=("sequential", "batched"),
+        default="batched",
+        help="replica execution engine (batched vectorizes all iterations; "
+        "identical results per seed on sparse graphs such as the paper's "
+        "King's graphs, numerically equivalent on dense ones)",
+    )
+    parser.add_argument(
+        "--precision",
+        choices=("exact", "throughput"),
+        default="exact",
+        help="precision tier (exact keeps the bit-identity contract; "
+        "throughput runs float32 state with one batched noise stream — "
+        "statistically equivalent accuracy, validated by 'msropm "
+        "equivalence', at a >3x whole-solve speedup)",
+    )
+
+
+def _add_seed_argument(parser: argparse.ArgumentParser, default: Optional[int] = 2025) -> None:
+    """Attach ``--seed`` (the base RNG seed every solve derives from)."""
+    parser.add_argument("--seed", type=int, default=default, help="base RNG seed")
+
+
+def _add_solve_arguments(parser: argparse.ArgumentParser, seed: int = 2025) -> None:
+    """Attach ``--seed``, ``--engine``, ``--precision`` and the runtime flags."""
+    _add_seed_argument(parser, seed)
+    _add_engine_arguments(parser)
+    add_runtime_arguments(parser)
+
+
+def _add_cache_dir(
+    parser: argparse.ArgumentParser,
+    help_text: str = "cache directory (default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
+) -> None:
+    parser.add_argument("--cache-dir", default=None, help=help_text)
+
+
+def _add_ledger_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the run id and ledger ``--cache-dir`` of a recorded-run command."""
+    parser.add_argument("run_id", help="run id (see 'campaign list')")
+    _add_cache_dir(parser, "cache directory holding the campaign ledgers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,22 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    engine_kwargs = dict(
-        choices=("sequential", "batched"),
-        default="batched",
-        help="replica execution engine (batched vectorizes all iterations; "
-        "identical results per seed on sparse graphs such as the paper's "
-        "King's graphs, numerically equivalent on dense ones)",
-    )
-    precision_kwargs = dict(
-        choices=("exact", "throughput"),
-        default="exact",
-        help="precision tier (exact keeps the bit-identity contract; "
-        "throughput runs float32 state with one batched noise stream — "
-        "statistically equivalent accuracy, validated by 'msropm "
-        "equivalence', at a >3x whole-solve speedup)",
-    )
-
     solve = subparsers.add_parser("solve", help="solve a 4-coloring problem")
     solve.add_argument("--rows", type=int, default=7, help="board side length (rows == cols)")
     solve.add_argument(
@@ -212,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--iterations", type=int, default=10, help="number of repeated runs")
     solve.add_argument("--colors", type=int, default=4, help="number of colors (power of two)")
-    solve.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    solve.add_argument("--engine", **engine_kwargs)
-    solve.add_argument("--precision", **precision_kwargs)
-    add_runtime_arguments(solve)
+    _add_solve_arguments(solve, seed=1)
 
     for name, help_text in (
         ("table1", "reproduce Table 1 (per-problem statistics)"),
@@ -226,10 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--scale", type=float, default=1.0, help="problem/iteration scale in (0, 1]")
         sub.add_argument("--iterations", type=int, default=None, help="override iteration count")
-        sub.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-        sub.add_argument("--engine", **engine_kwargs)
-        sub.add_argument("--precision", **precision_kwargs)
-        add_runtime_arguments(sub)
+        _add_solve_arguments(sub)
 
     fig3 = subparsers.add_parser("fig3", help="reproduce Figure 3 (stage waveforms)")
     fig3.add_argument("--rows", type=int, default=4, help="board side length of the traced run")
@@ -254,15 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument(
         "--iterations", type=int, default=5, help="MSROPM/baseline iterations per instance"
     )
-    scenarios.add_argument("--seed", type=int, default=2025, help="base RNG seed")
+    _add_seed_argument(scenarios)
     scenarios.add_argument(
         "--baselines",
         default=",".join(SCENARIO_BASELINES),
         help="comma-separated baselines to run "
         f"(subset of: {', '.join(SCENARIO_BASELINES)}; empty string skips all)",
     )
-    scenarios.add_argument("--engine", **engine_kwargs)
-    scenarios.add_argument("--precision", **precision_kwargs)
+    _add_engine_arguments(scenarios)
     add_runtime_arguments(scenarios)
 
     equivalence = subparsers.add_parser(
@@ -279,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     equivalence.add_argument(
         "--iterations", type=int, default=20, help="iterations per instance and tier"
     )
-    equivalence.add_argument("--seed", type=int, default=2025, help="base RNG seed")
+    _add_seed_argument(equivalence)
     equivalence.add_argument(
         "--tolerance",
         type=float,
@@ -307,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--iterations", type=int, default=None, help="override iteration count"
     )
-    campaign_run.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-    campaign_run.add_argument("--engine", **engine_kwargs)
-    campaign_run.add_argument("--precision", **precision_kwargs)
+    _add_seed_argument(campaign_run)
+    _add_engine_arguments(campaign_run)
     campaign_run.add_argument(
         "--family",
         default=None,
@@ -347,25 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_status = campaign_sub.add_parser(
         "status", help="show one run's stage states from its ledger"
     )
-    campaign_status.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_status.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
+    _add_ledger_arguments(campaign_status)
 
     campaign_list = campaign_sub.add_parser("list", help="list recorded campaign runs")
-    campaign_list.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
+    _add_cache_dir(campaign_list, "cache directory holding the campaign ledgers")
 
     campaign_watch = campaign_sub.add_parser(
         "watch",
         help="live view of a (possibly still running) campaign, projected "
         "from its ledger tail",
     )
-    campaign_watch.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_watch.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
+    _add_ledger_arguments(campaign_watch)
     campaign_watch.add_argument(
         "--interval",
         type=float,
@@ -383,10 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a run's report purely from its ledger and the result "
         "cache (byte-identical across invocations)",
     )
-    campaign_report.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_report.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
+    _add_ledger_arguments(campaign_report)
     campaign_report.add_argument(
         "--metrics-out",
         default=None,
@@ -454,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect and maintain the content-addressed artifact store"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-
-    def _add_cache_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory (default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
-        )
 
     cache_stats = cache_sub.add_parser(
         "stats", help="entry counts and bytes, total and per namespace"
@@ -545,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight submitted jobs before the submit queue answers "
         "429 + Retry-After (default 256)",
     )
-    add_runtime_arguments(serve)
+    add_runtime_arguments(serve, service=True)
 
     client = subparsers.add_parser(
         "client", help="talk to a running solver service ('msropm serve')"
@@ -559,10 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="service URL, e.g. http://127.0.0.1:8765 (default: discovered "
             "from the cache dir's service/endpoint.json)",
         )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory whose endpoint record locates the service "
+        _add_cache_dir(
+            sub,
+            "cache directory whose endpoint record locates the service "
             "(default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
         )
         sub.add_argument(
@@ -589,9 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--colors", type=int, default=4, help="number of colors (solve submission)"
     )
     client_submit.add_argument("--iterations", type=int, default=None, help="iteration count")
-    client_submit.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    client_submit.add_argument("--engine", **engine_kwargs)
-    client_submit.add_argument("--precision", **precision_kwargs)
+    _add_seed_argument(client_submit, default=None)
+    _add_engine_arguments(client_submit)
     client_submit.add_argument(
         "--wait", action="store_true", help="block until every ticket is terminal"
     )
@@ -777,19 +787,41 @@ def _split_names(value: str, option: Optional[str] = None) -> List[str]:
     return names
 
 
-def _run_scenarios(args: argparse.Namespace) -> int:
-    families = _split_names(args.family, "--family") if args.family else None
-    baselines = _split_names(args.baselines)
+def _campaign_params(args: argparse.Namespace) -> dict:
+    """The built-in campaign parameters that ``args`` sets.
+
+    Shared by the one-shot commands and ``campaign run``.  Only meaningfully
+    set knobs go in: the orchestrator rejects parameters the chosen campaign
+    does not read, so ``campaign run suite --family er`` fails loudly instead
+    of silently running the full suite.
+    """
+    params = {"seed": args.seed, "engine": args.engine, "precision": args.precision}
+    if getattr(args, "scale", 1.0) != 1.0:
+        params["scale"] = args.scale
+    if args.iterations is not None:
+        params["iterations"] = args.iterations
+    if getattr(args, "family", None):
+        params["families"] = _split_names(args.family, "--family")
+    if getattr(args, "baselines", None) is not None:
+        params["baselines"] = _split_names(args.baselines)
+    return params
+
+
+def _run_oneshot_campaign(args: argparse.Namespace):
+    """Run the built-in campaign named like the command, without a ledger.
+
+    Returns its final (report) stage's output.  Nothing is recorded, so a
+    failing stage surfaces as its own error and no run id is printed.
+    """
+    from repro.campaigns import get_campaign, run_campaign
+
     with runner_from_args(args) as runner:
-        result = run_scenario_matrix(
-            families=families,
-            iterations=args.iterations,
-            seed=args.seed,
-            engine=args.engine,
-            precision=args.precision,
-            runner=runner,
-            baselines=baselines,
-        )
+        run = run_campaign(get_campaign(args.command), _campaign_params(args), runner=runner)
+    return run.final_output
+
+
+def _run_scenarios(args: argparse.Namespace) -> int:
+    result = _run_oneshot_campaign(args)
     print(result.render())
     stats = result.runner_stats
     # Worker count and wall time deliberately omitted: the scenarios output is
@@ -1026,20 +1058,8 @@ def _run_campaign(args: argparse.Namespace) -> int:
         _print_campaign_result(result, stats)
         _report_sink_errors(sinks)
         return 0
-    # campaign run.  Only meaningfully-set knobs go into the params — the
-    # orchestrator rejects parameters the chosen campaign does not read, so
-    # e.g. `campaign run suite --family er` fails loudly instead of silently
-    # running the full suite.
     spec = get_campaign(args.name)
-    params = {"seed": args.seed, "engine": args.engine, "precision": args.precision}
-    if args.scale != 1.0:
-        params["scale"] = args.scale
-    if args.iterations is not None:
-        params["iterations"] = args.iterations
-    if args.family:
-        params["families"] = _split_names(args.family, "--family")
-    if args.baselines is not None:
-        params["baselines"] = _split_names(args.baselines)
+    params = _campaign_params(args)
     with runner_from_args(args) as runner:
         result = run_campaign(
             spec,
@@ -1176,13 +1196,6 @@ def _run_cache(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.server import run_server
 
-    if args.no_cache:
-        print(
-            "msropm serve needs the durable result cache (tickets are keyed by "
-            "job hash and served from it across restarts); drop --no-cache",
-            file=sys.stderr,
-        )
-        return 2
     cache_root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     with runner_from_args(args) as runner:
         return run_server(
@@ -1288,12 +1301,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+#: The single-experiment commands: the experiment's runner and its renderer.
+_EXPERIMENT_COMMANDS = {
+    "table1": (run_table1, lambda result: result.render()),
+    "table2": (run_table2, lambda result: result.render()),
+    "fig5": (run_figure5, render_figure5),
+}
+
+
 def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "solve":
         return _run_solve(args)
-    if args.command == "table1":
+    if args.command in _EXPERIMENT_COMMANDS:
+        run, render = _EXPERIMENT_COMMANDS[args.command]
         with runner_from_args(args) as runner:
-            result = run_table1(
+            result = run(
                 scale=args.scale,
                 iterations=args.iterations,
                 seed=args.seed,
@@ -1301,43 +1323,10 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                 precision=args.precision,
                 runner=runner,
             )
-        print(result.render())
-        return 0
-    if args.command == "table2":
-        with runner_from_args(args) as runner:
-            result = run_table2(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                engine=args.engine,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(result.render())
-        return 0
-    if args.command == "fig5":
-        with runner_from_args(args) as runner:
-            result = run_figure5(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                engine=args.engine,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(render_figure5(result))
+        print(render(result))
         return 0
     if args.command == "suite":
-        with runner_from_args(args) as runner:
-            result = run_suite(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                engine=args.engine,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(result.render())
+        print(_run_oneshot_campaign(args).render())
         return 0
     if args.command == "fig3":
         result = run_figure3(rows=args.rows, cols=args.rows, seed=args.seed)

@@ -34,7 +34,7 @@ from repro.experiments.scenario_matrix import (
     plan_scenario_requests,
     run_scenario_matrix,
 )
-from repro.experiments.suite import SuiteResult, plan_suite_requests, run_suite
+from repro.experiments.suite import SuiteResult
 from repro.experiments.energy_landscape import (
     EnergyLandscapeResult,
     IntervalTrace,
@@ -77,8 +77,6 @@ __all__ = [
     "plan_table2_requests",
     "plan_figure5_requests",
     "SuiteResult",
-    "plan_suite_requests",
-    "run_suite",
     "SCENARIO_BASELINES",
     "ScenarioMatrixResult",
     "ScenarioRow",

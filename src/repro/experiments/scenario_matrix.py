@@ -193,6 +193,15 @@ def _baseline_seed(seed: int, baseline: str, instance: WorkloadInstance) -> int:
     return derive_instance_seed(seed, f"{baseline}:{instance.family}:{instance.label}", 0, 0)
 
 
+def check_baseline_names(baselines: Sequence[str]) -> None:
+    """Reject a baseline name the matrix does not know, before any job runs."""
+    for name in baselines:
+        if name not in SCENARIO_BASELINES:
+            raise ConfigurationError(
+                f"unknown baseline {name!r}; available: {', '.join(SCENARIO_BASELINES)}"
+            )
+
+
 def plan_scenario_requests(
     instances: Sequence[WorkloadInstance],
     iterations: int = 5,
@@ -307,11 +316,7 @@ def run_scenario_matrix(
     bit-identical regardless of the runner's worker count, and a cache-backed
     runner resolves warm reruns without a single solve or baseline run.
     """
-    for name in baselines:
-        if name not in SCENARIO_BASELINES:
-            raise ConfigurationError(
-                f"unknown baseline {name!r}; available: {', '.join(SCENARIO_BASELINES)}"
-            )
+    check_baseline_names(baselines)
     runner = runner or ExperimentRunner()
     start = time.perf_counter()
     instances = expand_workloads(families, base_seed=seed)

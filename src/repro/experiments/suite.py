@@ -1,44 +1,24 @@
-"""The full evaluation suite: every table and figure in one sharded pass.
+"""The full evaluation suite's report: every table and figure in one result.
 
 ``msropm suite`` reproduces the paper's whole evaluation grid — Table 1,
-Table 2 and Figure 5 — through a single :class:`ExperimentRunner`.  The suite
-first collects every experiment's planned solve requests (via the per-module
-``plan_*_requests`` helpers) and submits them as **one batch**, so the
-process pool shards the union of all jobs freely; duplicate jobs across
-experiments (Fig. 5 re-plots the sizes Table 1 solves, under the same seeds)
-are deduplicated by content hash and solved once.  The individual experiments
-then run against the warmed runner and resolve entirely from its memo/cache.
-
-With a persistent cache directory, a second ``msropm suite`` invocation skips
-every solve and renders straight from disk.
-
-The suite also exists as the built-in ``suite`` *campaign*
-(:mod:`repro.campaigns.builtin`): the same planners as separate ledgered
-stages with the Table 1 / Fig. 5 overlap as an explicit dependency, which is
-the resumable form (``msropm campaign run suite``).  Both forms share job
-hashes, so either one warms the other's cache.
+Table 2 and Figure 5 — by running the built-in ``suite`` campaign
+(:mod:`repro.campaigns.builtin`) without a ledger; ``msropm campaign run
+suite`` runs the same campaign with one, which makes it resumable.  The
+campaign solves the experiments stage by stage through one
+:class:`~repro.runtime.runner.ExperimentRunner`: Fig. 5 re-plots the sizes
+Table 1 solves under the same seeds, so its jobs resolve from the runner's
+memo, and a warm cache directory skips every solve.  Its report stage
+assembles the :class:`SuiteResult` defined here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.core.config import MSROPMConfig
-from repro.experiments.fig5_accuracy import (
-    Figure5Result,
-    plan_figure5_requests,
-    render_figure5,
-    run_figure5,
-)
-from repro.experiments.table1_stats import Table1Result, plan_table1_requests, run_table1
-from repro.experiments.table2_comparison import (
-    Table2Result,
-    plan_table2_requests,
-    run_table2,
-)
-from repro.runtime.runner import ExperimentRunner, SolveRequest
+from repro.experiments.fig5_accuracy import Figure5Result, render_figure5
+from repro.experiments.table1_stats import Table1Result
+from repro.experiments.table2_comparison import Table2Result
 
 
 @dataclass
@@ -74,77 +54,3 @@ class SuiteResult:
                 summary,
             ]
         )
-
-
-def plan_suite_requests(
-    scale: float = 1.0,
-    iterations: Optional[int] = None,
-    seed: int = 2025,
-    config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
-    precision: Optional[str] = None,
-) -> List[SolveRequest]:
-    """The union of all solve requests the suite's experiments schedule.
-
-    Reuses each experiment's own planner, so the job hashes here are exactly
-    the hashes the standalone experiments compute — the warm pass and the
-    per-experiment runs address the same cache entries.
-    """
-    shared = dict(
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        engine=engine,
-        precision=precision,
-    )
-    requests: List[SolveRequest] = []
-    requests.extend(plan_table1_requests(**shared))
-    requests.extend(plan_table2_requests(**shared))
-    requests.extend(plan_figure5_requests(**shared))
-    return requests
-
-
-def run_suite(
-    scale: float = 1.0,
-    iterations: Optional[int] = None,
-    seed: int = 2025,
-    config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> SuiteResult:
-    """Run the whole evaluation (Tables 1-2, Figure 5) through one runner.
-
-    ``runner`` supplies the worker pool and cache (``None`` = serial,
-    uncached).  Per seed, the results are bit-identical regardless of the
-    runner's worker count (the throughput tier is equally deterministic per
-    seed, though not bit-identical to the exact tier).
-    """
-    runner = runner or ExperimentRunner()
-    start = time.perf_counter()
-    shared = dict(
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        engine=engine,
-        precision=precision,
-    )
-
-    # One sharded pass over the union of all jobs (deduplicated by hash).
-    runner.solve_many(plan_suite_requests(**shared))
-
-    # The experiments now resolve from the warmed runner.
-    table1 = run_table1(runner=runner, **shared)
-    table2 = run_table2(runner=runner, **shared)
-    figure5 = run_figure5(runner=runner, **shared)
-    wall = time.perf_counter() - start
-    return SuiteResult(
-        table1=table1,
-        table2=table2,
-        figure5=figure5,
-        wall_time_s=wall,
-        runner_stats=runner.stats(),
-        workers=runner.workers,
-    )

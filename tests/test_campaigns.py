@@ -250,6 +250,24 @@ class TestOrchestrator:
         assert first_report.state == "passed"
         assert first_report.jobs_run == 0 and first_report.served == 1
 
+    def test_ledgerless_run_raises_stage_error_and_ignores_kill_hook(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        """Without a ledger there is no run to name or resume: a failing stage
+        raises its own error, and the simulated kill never fires."""
+
+        def no_exit(code):
+            raise AssertionError(f"simulated kill fired (exit {code})")
+
+        monkeypatch.setattr(os, "_exit", no_exit)
+        monkeypatch.setenv("MSROPM_CAMPAIGN_KILL_AFTER", "first")
+        spec = _toy_campaign(tmp_path, fast_config)
+        result = run_campaign(spec, {}, runner=ExperimentRunner())
+        assert [report.state for report in result.reports] == ["passed"] * 3
+        (tmp_path / "fail-second").touch()
+        with pytest.raises(RuntimeError, match="^injected stage failure$"):
+            run_campaign(spec, {}, runner=ExperimentRunner())
+
     def test_interrupted_running_stage_resumes_from_cache(self, fast_config, tmp_path):
         """A stage RUNNING at the crash re-enqueues only unfinished jobs."""
         spec = _toy_campaign(tmp_path, fast_config)

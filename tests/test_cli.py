@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _split_names, build_parser, main
 from repro.exceptions import ConfigurationError
+from repro.workloads import family_names
 
 
 class TestParser:
@@ -135,6 +136,52 @@ class TestRuntimeFlags:
         assert "Figure 5(a)" in captured
         assert "suite finished" in captured
 
+    def test_serve_rejects_the_knobs_it_never_used(self):
+        """The service always caches and plans unsplit jobs."""
+        for flags in (["--replica-chunk", "4"], ["--no-cache"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["serve"] + flags)
+            assert excinfo.value.code == 2
+
+
+class TestOneShotCampaigns:
+    """``suite`` and ``scenarios`` are their built-in campaigns, run without a
+    ledger: the same tables as ``campaign run``, and nothing recorded."""
+
+    def test_suite_prints_the_campaign_tables(self, capsys, tmp_path):
+        import re
+
+        from repro.campaigns import ledger_root
+
+        knobs = ["--scale", "0.05", "--iterations", "2", "--seed", "7"]
+        assert main(["suite", *knobs, "--cache-dir", str(tmp_path / "a")]) == 0
+        oneshot = capsys.readouterr().out
+        assert main(["campaign", "run", "suite", *knobs, "--cache-dir", str(tmp_path / "b")]) == 0
+        campaign = capsys.readouterr().out
+
+        def untimed(text):
+            return re.sub(r"suite finished in [0-9.]+s", "suite finished in Xs", text)
+
+        assert oneshot.startswith("Table 1")
+        assert untimed(oneshot) in untimed(campaign)
+        assert not ledger_root(tmp_path / "a").exists()
+        assert any(ledger_root(tmp_path / "b").iterdir())
+
+    def test_scenarios_prints_the_campaign_matrix(self, capsys, tmp_path):
+        from repro.campaigns import ledger_root
+
+        knobs = ["--family", "dimacs", "--iterations", "2", "--seed", "6", "--baselines", "sa"]
+        assert main(["scenarios", *knobs, "--cache-dir", str(tmp_path / "a")]) == 0
+        oneshot = capsys.readouterr().out
+        assert main(["campaign", "run", "scenarios", *knobs, "--cache-dir", str(tmp_path / "b")]) == 0
+        campaign = capsys.readouterr().out
+
+        matrix = oneshot[: oneshot.index("\nscenarios: ")]
+        assert matrix.startswith("Scenario matrix")
+        assert matrix in campaign
+        assert not ledger_root(tmp_path / "a").exists()
+        assert any(ledger_root(tmp_path / "b").iterdir())
+
 
 class TestWorkloadsCommands:
     def test_workloads_list(self, capsys):
@@ -227,6 +274,49 @@ class TestErrorExit:
         assert captured.err.startswith("msropm: error: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["suite", "--scale", "0"], "scale must be in (0, 1], got 0.0"),
+            (
+                ["scenarios", "--family", "nope"],
+                f"unknown workload family 'nope'; available: {', '.join(family_names())}",
+            ),
+            (
+                ["scenarios", "--family", "er", "--iterations", "2", "--baselines", "nope"],
+                "unknown baseline 'nope'; available: sa, tabu, roim, single_stage",
+            ),
+            (
+                ["campaign", "run", "scenarios", "--family", "er", "--iterations", "2",
+                 "--baselines", "nope", "--run-id", "bad"],
+                "stage 'solves' of run 'bad' failed: unknown baseline 'nope'; "
+                "available: sa, tabu, roim, single_stage",
+            ),
+        ],
+    )
+    def test_campaign_errors_fail_before_any_job(
+        self, argv, line, capsys, monkeypatch, tmp_path
+    ):
+        """A one-shot command keeps its library error as the whole line (no
+        run id: nothing is recorded), and a bad value of any campaign form
+        fails before a job is solved or cached."""
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.runner import ExperimentRunner
+
+        ran = []
+        run_jobs = ExperimentRunner.run_jobs
+
+        def counting_run_jobs(self, jobs, *args, **kwargs):
+            ran.extend(jobs)
+            return run_jobs(self, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "run_jobs", counting_run_jobs)
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"msropm: error: {line}\n"
+        assert ran == []
+        assert ResultCache(tmp_path).stats()["entries"] == 0
 
 
 class TestSplitNames:
