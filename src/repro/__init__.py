@@ -25,13 +25,11 @@ from repro.core import (
     BatchedEngine,
     SequentialEngine,
     SolverEngine,
-    solve_coloring,
 )
 from repro.graphs import (
     Coloring,
     Graph,
     kings_graph,
-    paper_kings_graph,
     PAPER_PROBLEM_SIZES,
 )
 from repro.circuit import PowerModel, TimingPlan
@@ -65,14 +63,12 @@ __all__ = [
     "IterationResult",
     "SolveResult",
     "StageResult",
-    "solve_coloring",
     "SolverEngine",
     "SequentialEngine",
     "BatchedEngine",
     "Graph",
     "Coloring",
     "kings_graph",
-    "paper_kings_graph",
     "PAPER_PROBLEM_SIZES",
     "PowerModel",
     "TimingPlan",

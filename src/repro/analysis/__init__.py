@@ -2,20 +2,15 @@
 
 from repro.analysis.statistics import (
     IterationStatistics,
-    accuracy_percentiles,
-    expected_best_of_n,
-    iterations_to_reach,
     time_to_solution,
 )
 from repro.analysis.reporting import (
     FamilyAccuracySummary,
     accuracy_series_text,
     format_accuracy,
-    format_float,
     format_power_mw,
     format_search_space,
     format_table,
-    format_time_ns,
     present_accuracy,
     summarize_accuracy_by_family,
     text_histogram,
@@ -36,8 +31,6 @@ from repro.analysis.comparison import (
     accuracy_range_text,
 )
 from repro.analysis.results_io import (
-    load_solve_result,
-    save_solve_result,
     solve_result_from_dict,
     solve_result_to_dict,
 )
@@ -45,13 +38,8 @@ from repro.analysis.results_io import (
 __all__ = [
     "IterationStatistics",
     "time_to_solution",
-    "accuracy_percentiles",
-    "iterations_to_reach",
-    "expected_best_of_n",
     "format_table",
-    "format_float",
     "format_power_mw",
-    "format_time_ns",
     "format_search_space",
     "format_accuracy",
     "present_accuracy",
@@ -70,8 +58,6 @@ __all__ = [
     "LITERATURE_ROWS",
     "TABLE2_HEADERS",
     "accuracy_range_text",
-    "save_solve_result",
-    "load_solve_result",
     "solve_result_to_dict",
     "solve_result_from_dict",
 ]

@@ -16,7 +16,7 @@ two groups here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.exceptions import AnalysisError
 from repro.analysis.reporting import format_table

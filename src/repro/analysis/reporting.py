@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows and series the paper reports;
 these helpers format them as aligned ASCII tables and simple text histograms
-so results are readable in terminal output, CI logs and EXPERIMENTS.md.
+so results are readable in terminal output and CI logs.
 """
 
 from __future__ import annotations
@@ -157,21 +157,9 @@ def summarize_campaign_totals(stages: Sequence[object]) -> Dict[str, int]:
     }
 
 
-def format_float(value: float, digits: int = 3) -> str:
-    """Format a float with a fixed number of decimals (NaN-safe)."""
-    if value != value:  # NaN
-        return "nan"
-    return f"{value:.{digits}f}"
-
-
 def format_power_mw(watts: float) -> str:
     """Format a power value in milliwatts, the unit of Table 1."""
     return f"{watts * 1e3:.1f} mW"
-
-
-def format_time_ns(seconds: float) -> str:
-    """Format a duration in nanoseconds, the unit of the paper's run times."""
-    return f"{seconds * 1e9:.0f} ns"
 
 
 def format_search_space(num_nodes: int, num_colors: int) -> str:

@@ -1,8 +1,8 @@
 """Serialization of solve results to JSON.
 
 Long experiments (the 40-iteration runs on the 2116-node problem) are worth
-persisting so the analysis and the EXPERIMENTS.md bookkeeping can be redone
-without re-simulating.  Results are stored as plain JSON: the graph (via the
+persisting so the analysis can be redone without re-simulating: the
+runtime's result cache stores every solve in this form.  Results are stored as plain JSON: the graph (via the
 graphs JSON codec), the per-iteration accuracies, seeds, stage records and
 colorings.  Trajectories and phase arrays are intentionally *not* persisted —
 they are large and can be regenerated from the recorded seeds.
@@ -22,7 +22,6 @@ from typing import Dict, List, Union
 from repro.exceptions import AnalysisError
 from repro.core.results import IterationResult, SolveResult, StageResult
 from repro.graphs.coloring import Coloring
-from repro.graphs.graph import Graph
 from repro.graphs.io import from_json as graph_from_json
 from repro.graphs.io import to_json as graph_to_json
 from repro.graphs.partition import Bipartition
@@ -132,17 +131,3 @@ def solve_result_from_dict(payload: Dict) -> SolveResult:
     return SolveResult(
         graph=graph, num_colors=num_colors, iterations=iterations, metadata=metadata
     )
-
-
-def save_solve_result(result: SolveResult, path: PathLike) -> None:
-    """Write a solve result to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(solve_result_to_dict(result)), encoding="utf-8")
-
-
-def load_solve_result(path: PathLike) -> SolveResult:
-    """Read a solve result previously written by :func:`save_solve_result`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"invalid results JSON in {path}: {exc}") from exc
-    return solve_result_from_dict(payload)

@@ -9,7 +9,7 @@ time-to-solution metrics customary for probabilistic solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -77,35 +77,3 @@ def time_to_solution(
         return single_run_time
     repeats = np.log(1.0 - target_confidence) / np.log(1.0 - success_probability)
     return float(single_run_time * max(1.0, repeats))
-
-
-def accuracy_percentiles(accuracies: Sequence[float], percentiles: Sequence[float] = (5, 25, 50, 75, 95)) -> Dict[float, float]:
-    """Return the requested percentiles of an accuracy distribution."""
-    if len(accuracies) == 0:
-        raise AnalysisError("accuracy list must not be empty")
-    values = np.asarray(accuracies, dtype=float)
-    return {float(p): float(np.percentile(values, p)) for p in percentiles}
-
-
-def iterations_to_reach(accuracies: Sequence[float], threshold: float) -> Optional[int]:
-    """Return the 1-based index of the first iteration reaching ``threshold``, or None."""
-    for position, value in enumerate(accuracies, start=1):
-        if value >= threshold - 1e-12:
-            return position
-    return None
-
-
-def expected_best_of_n(accuracies: Sequence[float], n: int, num_samples: int = 2000, seed: int = 0) -> float:
-    """Bootstrap estimate of the expected best accuracy when running ``n`` iterations.
-
-    Useful for answering "how many iterations does the machine need" from an
-    existing batch of runs without re-simulating.
-    """
-    if n < 1:
-        raise AnalysisError("n must be at least 1")
-    values = np.asarray(accuracies, dtype=float)
-    if values.size == 0:
-        raise AnalysisError("accuracy list must not be empty")
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(values, size=(num_samples, n), replace=True)
-    return float(picks.max(axis=1).mean())

@@ -7,8 +7,8 @@ configuration overrides into runtime solve jobs — one per valid grid point,
 all sharing one content-addressed graph spec — and submits the whole batch
 through :meth:`repro.runtime.runner.ExperimentRunner.solve_many`, so sweep
 points shard across worker processes and re-entered (or overlapping) grids
-resolve from the result cache.  It powers the ablation benchmarks and the
-"how was the operating point chosen" analysis in EXPERIMENTS.md.
+resolve from the result cache.  It powers the ablation benchmarks, which show
+how the operating point was chosen.
 
 (The runner import is deferred to call time: :mod:`repro.runtime` serializes
 results through :mod:`repro.analysis.results_io`, so a module-level import
@@ -17,11 +17,9 @@ here would close an import cycle.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.analysis.statistics import IterationStatistics

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.exceptions import ColoringError, SATError
+from repro.exceptions import ColoringError
 from repro.graphs.coloring import Coloring, kings_graph_reference_coloring
 from repro.graphs.graph import Graph, Node
 from repro.graphs.properties import is_kings_graph_shape

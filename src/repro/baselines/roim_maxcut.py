@@ -19,7 +19,7 @@ from repro.core.config import MSROPMConfig
 from repro.core.stages import StageExecutor
 from repro.dynamics.noise import random_initial_phases
 from repro.graphs.graph import Graph
-from repro.graphs.partition import Bipartition, cut_size
+from repro.graphs.partition import Bipartition
 from repro.ising.maxcut import MaxCutProblem
 from repro.rng import iteration_seeds, make_rng
 

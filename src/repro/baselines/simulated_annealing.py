@@ -10,13 +10,13 @@ use a geometric temperature schedule and track the best configuration seen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.graphs.coloring import Coloring
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 from repro.graphs.partition import Bipartition
 from repro.ising.maxcut import MaxCutProblem
 from repro.rng import SeedLike, make_rng

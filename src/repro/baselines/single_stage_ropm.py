@@ -11,7 +11,7 @@ once and are then pinned by a single SHIL of order ``num_colors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -11,13 +11,13 @@ additional software baseline alongside simulated annealing, mirroring how the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.graphs.coloring import Coloring
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 from repro.rng import SeedLike, make_rng
 
 

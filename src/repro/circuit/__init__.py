@@ -14,23 +14,16 @@ from repro.circuit.shil import (
     SHIL1_FUNDAMENTAL_OFFSET,
     SHIL2_FUNDAMENTAL_OFFSET,
     ShilSource,
-    n_shil,
     shil1,
     shil2,
 )
 from repro.circuit.dff import DFlipFlop, ReferenceSignal, reference_bank
 from repro.circuit.mux import ShilMux
-from repro.circuit.readout import PhaseReadout, binary_readout
+from repro.circuit.readout import PhaseReadout
 from repro.circuit.control import (
-    ControlSchedule,
-    ControlState,
-    StageInterval,
-    StageKind,
     TimingPlan,
-    msropm_schedule,
-    multi_stage_schedule,
 )
-from repro.circuit.power import PAPER_POWER_MW, PowerModel, energy_per_solution
+from repro.circuit.power import PAPER_POWER_MW, PowerModel
 from repro.circuit.netlist import FabricNetlist
 
 __all__ = [
@@ -48,7 +41,6 @@ __all__ = [
     "ShilSource",
     "shil1",
     "shil2",
-    "n_shil",
     "SHIL1_FUNDAMENTAL_OFFSET",
     "SHIL2_FUNDAMENTAL_OFFSET",
     "DFlipFlop",
@@ -56,16 +48,8 @@ __all__ = [
     "reference_bank",
     "ShilMux",
     "PhaseReadout",
-    "binary_readout",
-    "ControlSchedule",
-    "ControlState",
-    "StageInterval",
-    "StageKind",
     "TimingPlan",
-    "msropm_schedule",
-    "multi_stage_schedule",
     "PowerModel",
     "PAPER_POWER_MW",
-    "energy_per_solution",
     "FabricNetlist",
 ]

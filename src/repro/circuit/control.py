@@ -1,12 +1,11 @@
-"""Control-signal timeline of the MSROPM (G_EN, L_EN, P_EN, SHIL_EN, SHIL_SEL).
+"""Stage timing of the MSROPM control sequence (Fig. 3).
 
-The machine's operation is clocked by a fixed schedule of control events
-(Fig. 3): random initialization, coupled self-annealing, SHIL-1 binarization
-and read-out, partitioning, a second self-annealing interval, and the final
-two-SHIL discretization and read-out.  This module defines the schedule as
-data (a list of timed intervals with the control-signal values in force) so
-the dynamics layer, the waveform reconstruction and the power model all agree
-on a single timeline.
+The machine's operation is clocked by a fixed sequence of control events:
+random initialization, coupled self-annealing, SHIL-1 binarization and
+read-out, partitioning, a second self-annealing interval, and the final
+two-SHIL discretization and read-out.  :class:`TimingPlan` holds the interval
+durations every stage runner, the waveform reconstruction and the power model
+share.
 
 The default durations are the paper's: 5 ns initialization, 20 ns per
 annealing stage, 5 ns per SHIL stabilization/read-out — 60 ns end to end.
@@ -14,104 +13,10 @@ annealing stage, 5 ns per SHIL stabilization/read-out — 60 ns end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 from repro.exceptions import StageError
 from repro.units import ns
-
-
-class StageKind(Enum):
-    """The kinds of intervals in the MSROPM timeline."""
-
-    INITIALIZE = "initialize"
-    ANNEAL = "anneal"
-    SHIL_LOCK = "shil_lock"
-    READOUT = "readout"
-
-
-@dataclass(frozen=True)
-class ControlState:
-    """The control-signal values in force during one interval.
-
-    Attributes
-    ----------
-    couplings_on:
-        Global coupling enable (``G_EN`` for the B2B blocks).
-    oscillators_on:
-        Global oscillator enable (``G_EN`` for the ROSC blocks).
-    shil_enabled:
-        ``SHIL_EN``: whether the injection MUX forwards a SHIL at all.
-    respect_partition:
-        Whether the ``P_EN`` gating (cross-partition couplings off) is active.
-    dual_shil:
-        ``False`` while every oscillator receives SHIL 1; ``True`` in the final
-        stage where ``SHIL_SEL`` routes SHIL 2 to the 180-degree partition.
-    """
-
-    couplings_on: bool = False
-    oscillators_on: bool = True
-    shil_enabled: bool = False
-    respect_partition: bool = False
-    dual_shil: bool = False
-
-
-@dataclass(frozen=True)
-class StageInterval:
-    """One interval of the timeline: a kind, a duration and a control state."""
-
-    kind: StageKind
-    duration: float
-    control: ControlState
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise StageError(f"interval duration must be positive, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """An ordered list of :class:`StageInterval` making up one MSROPM run."""
-
-    intervals: Tuple[StageInterval, ...]
-
-    def __post_init__(self) -> None:
-        if not self.intervals:
-            raise StageError("a control schedule needs at least one interval")
-
-    @property
-    def total_duration(self) -> float:
-        """End-to-end run time in seconds (the paper's 60 ns for 4-coloring)."""
-        return sum(interval.duration for interval in self.intervals)
-
-    def interval_at(self, time: float) -> StageInterval:
-        """Return the interval in force at absolute ``time`` (seconds)."""
-        if time < 0:
-            raise StageError(f"time must be non-negative, got {time}")
-        elapsed = 0.0
-        for interval in self.intervals:
-            elapsed += interval.duration
-            if time < elapsed:
-                return interval
-        raise StageError(f"time {time} is beyond the schedule end {self.total_duration}")
-
-    def boundaries(self) -> List[float]:
-        """Return the cumulative interval end times."""
-        times: List[float] = []
-        elapsed = 0.0
-        for interval in self.intervals:
-            elapsed += interval.duration
-            times.append(elapsed)
-        return times
-
-    def labelled(self, label: str) -> Optional[StageInterval]:
-        """Return the first interval with the given label, or ``None``."""
-        for interval in self.intervals:
-            if interval.label == label:
-                return interval
-        return None
 
 
 @dataclass(frozen=True)
@@ -141,106 +46,3 @@ class TimingPlan:
         if num_binary_stages < 1:
             raise StageError(f"num_binary_stages must be at least 1, got {num_binary_stages}")
         return num_binary_stages * (self.initialization + self.annealing + self.shil_settling)
-
-
-def msropm_schedule(timing: Optional[TimingPlan] = None) -> ControlSchedule:
-    """Return the paper's two-stage (4-coloring) control schedule.
-
-    The intervals correspond, in order, to Fig. 3(a) through Fig. 3(e):
-
-    1. random initialization (oscillators free, couplings off)
-    2. coupled self-annealing (couplings on, no SHIL)
-    3. SHIL 1 lock + stage-1 read-out
-    4. re-initialization interval with couplings and SHIL off
-    5. partitioned self-annealing (couplings on within partitions only)
-    6. dual-SHIL lock (SHIL 1 / SHIL 2 per partition) + final read-out
-    """
-    timing = timing or TimingPlan()
-    intervals = (
-        StageInterval(
-            kind=StageKind.INITIALIZE,
-            duration=timing.initialization,
-            control=ControlState(couplings_on=False, shil_enabled=False),
-            label="init-1",
-        ),
-        StageInterval(
-            kind=StageKind.ANNEAL,
-            duration=timing.annealing,
-            control=ControlState(couplings_on=True, shil_enabled=False),
-            label="anneal-1",
-        ),
-        StageInterval(
-            kind=StageKind.SHIL_LOCK,
-            duration=timing.shil_settling,
-            control=ControlState(couplings_on=True, shil_enabled=True, dual_shil=False),
-            label="shil-1",
-        ),
-        StageInterval(
-            kind=StageKind.INITIALIZE,
-            duration=timing.initialization,
-            control=ControlState(couplings_on=False, shil_enabled=False, respect_partition=True),
-            label="init-2",
-        ),
-        StageInterval(
-            kind=StageKind.ANNEAL,
-            duration=timing.annealing,
-            control=ControlState(couplings_on=True, shil_enabled=False, respect_partition=True),
-            label="anneal-2",
-        ),
-        StageInterval(
-            kind=StageKind.SHIL_LOCK,
-            duration=timing.shil_settling,
-            control=ControlState(
-                couplings_on=True, shil_enabled=True, respect_partition=True, dual_shil=True
-            ),
-            label="shil-2",
-        ),
-    )
-    return ControlSchedule(intervals=intervals)
-
-
-def multi_stage_schedule(num_binary_stages: int, timing: Optional[TimingPlan] = None) -> ControlSchedule:
-    """Return a generalized schedule with ``num_binary_stages`` binary stages.
-
-    Stage ``k`` (1-based) anneals with couplings restricted to the partitions
-    produced by stages ``1..k-1`` and ends with a SHIL lock; the final stage
-    uses the dual/multi SHIL configuration.  Two stages reproduce the paper's
-    4-coloring flow; three stages extend it to 8 colors, as the paper suggests.
-    """
-    if num_binary_stages < 1:
-        raise StageError(f"num_binary_stages must be at least 1, got {num_binary_stages}")
-    timing = timing or TimingPlan()
-    intervals: List[StageInterval] = []
-    for stage in range(1, num_binary_stages + 1):
-        partitioned = stage > 1
-        final = stage == num_binary_stages
-        intervals.append(
-            StageInterval(
-                kind=StageKind.INITIALIZE,
-                duration=timing.initialization,
-                control=ControlState(couplings_on=False, shil_enabled=False, respect_partition=partitioned),
-                label=f"init-{stage}",
-            )
-        )
-        intervals.append(
-            StageInterval(
-                kind=StageKind.ANNEAL,
-                duration=timing.annealing,
-                control=ControlState(couplings_on=True, shil_enabled=False, respect_partition=partitioned),
-                label=f"anneal-{stage}",
-            )
-        )
-        intervals.append(
-            StageInterval(
-                kind=StageKind.SHIL_LOCK,
-                duration=timing.shil_settling,
-                control=ControlState(
-                    couplings_on=True,
-                    shil_enabled=True,
-                    respect_partition=partitioned,
-                    dual_shil=final and num_binary_stages > 1,
-                ),
-                label=f"shil-{stage}",
-            )
-        )
-    return ControlSchedule(intervals=tuple(intervals))

@@ -12,7 +12,6 @@ two MSROPM stages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.exceptions import CircuitError
 from repro.circuit.inverter import Inverter

@@ -9,7 +9,7 @@ free-running annealing intervals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.exceptions import CircuitError
 from repro.circuit.shil import ShilSource

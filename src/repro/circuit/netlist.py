@@ -10,7 +10,7 @@ model (which consumes the block counts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy import sparse

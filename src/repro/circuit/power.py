@@ -20,13 +20,12 @@ roughly 5/6 of the 60 ns run and the SHIL injectors for 1/6 of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.exceptions import CircuitError
 from repro.circuit.coupling import CouplingElement, b2b_coupling
 from repro.circuit.ring_oscillator import RingOscillator, paper_rosc
-from repro.circuit.technology import TECH_65NM_GP, Technology, dynamic_power
-from repro.units import as_mw, ghz, mw, uw
+from repro.units import as_mw, mw, uw
 
 
 @dataclass
@@ -113,10 +112,3 @@ class PowerModel:
 
 #: Power figures reported by the paper (Table 1), in milliwatts, keyed by node count.
 PAPER_POWER_MW = {49: 9.4, 400: 60.3, 1024: 146.1, 2116: 283.4}
-
-
-def energy_per_solution(power_watts: float, time_to_solution_seconds: float) -> float:
-    """Return energy per run in joules."""
-    if power_watts < 0 or time_to_solution_seconds < 0:
-        raise CircuitError("power and time must be non-negative")
-    return power_watts * time_to_solution_seconds

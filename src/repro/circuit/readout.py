@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -93,13 +93,3 @@ class PhaseReadout:
     def dff_bank(self) -> List[DFlipFlop]:
         """Return a fresh bank of K DFFs (one per reference), for structural tests."""
         return [DFlipFlop() for _ in range(self.num_phases)]
-
-
-def binary_readout(phases: np.ndarray, offset: float = 0.0, frequency: float = ghz(1.3)) -> np.ndarray:
-    """Two-phase read-out helper: classify phases as 0 (near ``offset``) or 1 (near ``offset + pi``).
-
-    Used after stage 1 to derive the partition (and hence ``P_EN`` /
-    ``SHIL_SEL``) from the SHIL-1-locked phases.
-    """
-    readout = PhaseReadout(num_phases=2, frequency=frequency)
-    return readout.sample_phases(np.asarray(phases, dtype=float), offset=offset)

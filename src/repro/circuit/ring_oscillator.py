@@ -11,11 +11,9 @@ consumed by the dynamics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.exceptions import CircuitError
 from repro.circuit.inverter import Inverter
-from repro.circuit.technology import TECH_65NM_GP, Technology
 from repro.units import ghz
 
 

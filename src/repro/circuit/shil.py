@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -134,19 +133,5 @@ def shil2(oscillator_frequency: float = ghz(1.3), strength: float = 0.2) -> Shil
         oscillator_frequency=oscillator_frequency,
         order=2,
         fundamental_offset=SHIL2_FUNDAMENTAL_OFFSET,
-        strength=strength,
-    )
-
-
-def n_shil(order: int, oscillator_frequency: float = ghz(1.3), strength: float = 0.2) -> ShilSource:
-    """A higher-order SHIL locking at ``order`` equally spaced phases.
-
-    This is the mechanism of the single-stage ROPM prior work (3-SHIL for
-    3-coloring) re-used here as a baseline.
-    """
-    return ShilSource(
-        oscillator_frequency=oscillator_frequency,
-        order=order,
-        fundamental_offset=0.0,
         strength=strength,
     )

@@ -11,10 +11,10 @@ reproduce SPICE waveforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import CircuitError
-from repro.units import ff, ghz, ua
+from repro.units import ff, ua
 
 
 @dataclass(frozen=True)

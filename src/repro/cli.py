@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("table1", "reproduce Table 1 (per-problem statistics)"),
         ("table2", "reproduce Table 2 (prior-work comparison)"),
         ("fig5", "reproduce Figure 5 (accuracy and Hamming-distance data)"),
-        ("suite", "run the whole evaluation (Tables 1-2, Fig. 5) in one sharded pass"),
+        ("suite", "run the built-in suite campaign: Tables 1-2 and Fig. 5"),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--scale", type=float, default=1.0, help="problem/iteration scale in (0, 1]")

@@ -7,13 +7,12 @@ from repro.core.engine import (
     SolverEngine,
     get_engine,
 )
-from repro.core.machine import MSROPM, solve_coloring
-from repro.core.mapping import ProblemMapping, identity_mapping, map_to_kings_fabric
+from repro.core.machine import MSROPM
+from repro.core.mapping import ProblemMapping, identity_mapping
 from repro.core.metrics import (
     accuracy_statistics,
     coloring_accuracy,
     hamming_distance,
-    maxcut_accuracy,
     min_hamming_distance,
     pairwise_hamming_distances,
     stage_correlation,
@@ -30,16 +29,13 @@ from repro.core.stages import (
 __all__ = [
     "MSROPM",
     "MSROPMConfig",
-    "solve_coloring",
     "SolverEngine",
     "SequentialEngine",
     "BatchedEngine",
     "get_engine",
     "ProblemMapping",
     "identity_mapping",
-    "map_to_kings_fabric",
     "coloring_accuracy",
-    "maxcut_accuracy",
     "hamming_distance",
     "min_hamming_distance",
     "pairwise_hamming_distances",

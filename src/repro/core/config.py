@@ -19,7 +19,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.circuit.control import TimingPlan
 from repro.dynamics.schedules import AnnealingPolicy
-from repro.units import ghz, ns
+from repro.units import ghz
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,13 +34,13 @@ from repro.exceptions import ConfigurationError, MappingError
 from repro.circuit.netlist import FabricNetlist
 from repro.circuit.power import PowerModel
 from repro.core.config import MSROPMConfig
-from repro.core.engine import SolverEngine, get_engine
+from repro.core.engine import get_engine
 from repro.core.mapping import ProblemMapping, identity_mapping
-from repro.core.metrics import coloring_accuracy, maxcut_accuracy
+from repro.core.metrics import coloring_accuracy
 from repro.core.results import IterationResult, SolveResult, StageResult
-from repro.core.stages import StageExecutor, group_offsets
+from repro.core.stages import StageExecutor
 from repro.dynamics.noise import perturbed_phases, random_initial_phases
-from repro.graphs.coloring import Coloring, kings_graph_reference_coloring
+from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Bipartition
 from repro.graphs.properties import is_kings_graph_shape
@@ -398,19 +397,3 @@ class MSROPM:
     def time_to_solution(self) -> float:
         """Modeled single-run time in seconds (the paper's 60 ns for 4-coloring)."""
         return self.config.total_run_time
-
-
-def solve_coloring(
-    graph: Graph,
-    num_colors: int = 4,
-    iterations: int = 40,
-    seed: Optional[int] = None,
-    config: Optional[MSROPMConfig] = None,
-) -> SolveResult:
-    """One-call convenience API: build an :class:`MSROPM` and solve ``graph``."""
-    if config is None:
-        config = MSROPMConfig(num_colors=num_colors, seed=seed)
-    elif config.num_colors != num_colors:
-        config = config.with_updates(num_colors=num_colors)
-    machine = MSROPM(graph, config)
-    return machine.solve(iterations=iterations, seed=seed)

@@ -9,13 +9,10 @@ programming (which couplings are enabled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.exceptions import MappingError
-from repro.graphs.generators import kings_graph
 from repro.graphs.graph import Graph, Node
 
 
@@ -92,18 +89,3 @@ def identity_mapping(problem_graph: Graph) -> ProblemMapping:
     """Map a problem onto a fabric built exactly for it (the paper's setting)."""
     placement = {node: node for node in problem_graph.nodes}
     return ProblemMapping(problem_graph=problem_graph, fabric_graph=problem_graph, placement=placement)
-
-
-def map_to_kings_fabric(problem_graph: Graph, rows: int, cols: Optional[int] = None) -> ProblemMapping:
-    """Map a lattice-labelled problem graph onto a ``rows x cols`` King's fabric.
-
-    The problem's nodes must already be ``(r, c)`` tuples inside the board (the
-    natural labelling produced by the generators); the mapping is the identity
-    placement onto the fabric, with the fabric's unused couplings left disabled.
-    """
-    fabric = kings_graph(rows, cols)
-    for node in problem_graph.nodes:
-        if not fabric.has_node(node):
-            raise MappingError(f"problem node {node!r} does not fit on the {rows}x{cols or rows} fabric")
-    placement = {node: node for node in problem_graph.nodes}
-    return ProblemMapping(problem_graph=problem_graph, fabric_graph=fabric, placement=placement)

@@ -3,7 +3,6 @@
 * ``coloring_accuracy`` — the fraction of edges whose endpoints receive
   different colors, normalized so an exact solution of a 4-colorable graph
   scores 1.0 (Sec. 4: "the normalized number of correctly colored neighbors").
-* ``maxcut_accuracy`` — stage-1 cut value over a reference cut.
 * ``hamming_distance`` / ``min_hamming_distance`` — normalized disagreement
   between two solutions; the label-invariant variant minimizes over color
   permutations because a proper coloring is only defined up to renaming.
@@ -13,14 +12,13 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.exceptions import AnalysisError
 from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph, Node
-from repro.graphs.partition import Bipartition, cut_size
 
 
 def coloring_accuracy(graph: Graph, coloring: Coloring) -> float:
@@ -28,16 +26,6 @@ def coloring_accuracy(graph: Graph, coloring: Coloring) -> float:
     if not coloring.covers(graph):
         raise AnalysisError("coloring does not cover every node of the graph")
     return coloring.accuracy(graph)
-
-
-def maxcut_accuracy(graph: Graph, partition: Bipartition, reference_cut: Optional[int] = None) -> float:
-    """Stage-1 accuracy: achieved cut divided by the reference cut (clipped to 1)."""
-    achieved = cut_size(graph, partition)
-    if reference_cut is None:
-        reference_cut = graph.num_edges
-    if reference_cut <= 0:
-        return 1.0
-    return min(1.0, achieved / reference_cut)
 
 
 def hamming_distance(first: Coloring, second: Coloring, nodes: Sequence[Node]) -> float:

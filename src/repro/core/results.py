@@ -11,7 +11,7 @@ Fig. 5(c), and the best solution for Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -40,7 +40,7 @@ from repro.dynamics.integrators import (
     integrate_euler_maruyama,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel
-from repro.rng import SeedLike, make_rng
+from repro.rng import make_rng
 
 
 def group_offsets(group_values: np.ndarray, stage_index: int) -> np.ndarray:

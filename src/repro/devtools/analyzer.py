@@ -160,23 +160,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def enclosing_functions(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    """Map every node to its nearest enclosing function/class definition."""
-    parents: Dict[ast.AST, ast.AST] = {}
-
-    def visit(node: ast.AST, owner: Optional[ast.AST]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if owner is not None:
-                parents[child] = owner
-            next_owner = owner
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                next_owner = child
-            visit(child, next_owner)
-
-    visit(tree, None)
-    return parents
-
-
 # ----------------------------------------------------------------------
 # Suppressions.
 

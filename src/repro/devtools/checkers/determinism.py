@@ -23,7 +23,6 @@ Rules
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.devtools.analyzer import (
@@ -103,7 +102,7 @@ class DeterminismChecker(Checker):
                         "determinism-rng",
                         node,
                         f"ambient RNG `{name}()` bypasses the seeded replica streams",
-                        "route randomness through repro.rng (make_rng/spawn_rngs)",
+                        "route randomness through repro.rng (make_rng/iteration_seeds)",
                     )
             elif isinstance(node, (ast.For, ast.comprehension)):
                 iterator = node.iter

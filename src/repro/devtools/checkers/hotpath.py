@@ -28,7 +28,7 @@ lexically lives.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.devtools.analyzer import Checker, Finding, LintConfig, ModuleSource, dotted_name
 

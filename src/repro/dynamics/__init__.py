@@ -12,12 +12,11 @@ from repro.dynamics.batched import (
     CouplingOperator,
     SharedCoupling,
 )
-from repro.dynamics.kuramoto import CoupledOscillatorModel, uniform_coupling_matrix
-from repro.dynamics.noise import PhaseNoiseModel, perturbed_phases, random_initial_phases
+from repro.dynamics.kuramoto import CoupledOscillatorModel
+from repro.dynamics.noise import perturbed_phases, random_initial_phases
 from repro.dynamics.schedules import (
     AnnealingPolicy,
     constant_ramp,
-    exponential_settle,
     linear_ramp,
     smooth_ramp,
 )
@@ -25,7 +24,6 @@ from repro.dynamics.waveform import (
     WaveformSet,
     phase_to_voltage,
     reconstruct_waveforms,
-    square_wave,
 )
 
 __all__ = [
@@ -38,17 +36,13 @@ __all__ = [
     "CouplingOperator",
     "SharedCoupling",
     "BlockDiagonalCoupling",
-    "uniform_coupling_matrix",
-    "PhaseNoiseModel",
     "random_initial_phases",
     "perturbed_phases",
     "AnnealingPolicy",
     "constant_ramp",
     "linear_ramp",
     "smooth_ramp",
-    "exponential_settle",
     "WaveformSet",
     "phase_to_voltage",
-    "square_wave",
     "reconstruct_waveforms",
 ]

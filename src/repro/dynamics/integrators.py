@@ -44,7 +44,7 @@ trajectory recording entirely and returns the final phase array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -25,14 +25,13 @@ and disable injection (SHIL_EN) by simply rebuilding the model between stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.exceptions import SimulationError
-from repro.ising.vector_potts import wrap_phase
 
 
 @dataclass
@@ -242,12 +241,3 @@ class CoupledOscillatorModel:
         if phases.size == 0:
             return 0.0
         return float(np.abs(np.mean(np.exp(1j * harmonic * phases))))
-
-
-def uniform_coupling_matrix(adjacency: Union[np.ndarray, sparse.spmatrix], rate: float) -> sparse.csr_matrix:
-    """Scale a 0/1 adjacency matrix into a uniform coupling-rate matrix."""
-    if rate < 0:
-        raise SimulationError(f"rate must be non-negative, got {rate}")
-    if sparse.issparse(adjacency):
-        return (adjacency.tocsr() * rate).astype(float)
-    return sparse.csr_matrix(np.asarray(adjacency, dtype=float) * rate)

@@ -10,50 +10,10 @@ is derived from the ring oscillator's cycle-to-cycle jitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.circuit.ring_oscillator import RingOscillator
 from repro.rng import SeedLike, make_rng
-
-
-@dataclass(frozen=True)
-class PhaseNoiseModel:
-    """White phase-noise (Wiener) model of oscillator jitter.
-
-    Attributes
-    ----------
-    diffusion:
-        Phase diffusion coefficient ``D`` in rad^2/s.  The phase variance
-        accumulated over a free-running interval ``T`` is ``2 * D * T``.
-    """
-
-    diffusion: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.diffusion < 0:
-            raise SimulationError(f"diffusion must be non-negative, got {self.diffusion}")
-
-    def phase_std_after(self, duration: float) -> float:
-        """Standard deviation (radians) of the phase walk after ``duration`` seconds."""
-        if duration < 0:
-            raise SimulationError(f"duration must be non-negative, got {duration}")
-        return float(np.sqrt(2.0 * self.diffusion * duration))
-
-    def sample_walk(self, num_oscillators: int, duration: float, seed: SeedLike = None) -> np.ndarray:
-        """Sample the accumulated phase offsets of ``num_oscillators`` after ``duration``."""
-        if num_oscillators < 0:
-            raise SimulationError("num_oscillators must be non-negative")
-        rng = make_rng(seed)
-        return rng.normal(0.0, self.phase_std_after(duration), size=num_oscillators)
-
-    @classmethod
-    def from_oscillator(cls, oscillator: RingOscillator, jitter_fraction: float = 0.01) -> "PhaseNoiseModel":
-        """Derive the diffusion constant from a ring oscillator's cycle jitter."""
-        return cls(diffusion=oscillator.phase_noise_diffusion(jitter_fraction))
 
 
 def random_initial_phases(num_oscillators: int, seed: SeedLike = None) -> np.ndarray:

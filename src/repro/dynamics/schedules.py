@@ -70,21 +70,6 @@ def smooth_ramp(duration: float, start: float = 0.0, end: float = 1.0, t0: float
     return ramp
 
 
-def exponential_settle(time_constant: float, start: float = 0.0, end: float = 1.0, t0: float = 0.0) -> Ramp:
-    """An exponential approach from ``start`` to ``end`` with the given time constant."""
-    if time_constant <= 0:
-        raise SimulationError(f"time_constant must be positive, got {time_constant}")
-    if start < 0 or end < 0:
-        raise SimulationError("ramp endpoints must be non-negative")
-
-    def ramp(time: float) -> float:
-        if time <= t0:
-            return start
-        return end + (start - end) * float(np.exp(-(time - t0) / time_constant))
-
-    return ramp
-
-
 @dataclass(frozen=True)
 class AnnealingPolicy:
     """How coupling and SHIL strengths evolve inside each MSROPM interval.

@@ -11,7 +11,7 @@ traces, plus the SHIL and reference square waves for annotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,15 +75,6 @@ def phase_to_voltage(
         normalized *= 4.0 / np.pi
         normalized = np.clip(normalized, -1.0, 1.0)
     return supply_voltage * (normalized + 1.0) / 2.0
-
-
-def square_wave(times: np.ndarray, frequency: float, phase: float = 0.0, amplitude: float = 1.0) -> np.ndarray:
-    """An ideal square wave (used for the SHIL and reference annotations)."""
-    times = np.asarray(times, dtype=float)
-    if frequency <= 0:
-        raise SimulationError("frequency must be positive")
-    argument = 2.0 * np.pi * frequency * times + phase
-    return amplitude * (np.sign(np.sin(argument)) + 1.0) / 2.0
 
 
 @dataclass

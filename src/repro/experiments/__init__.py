@@ -6,8 +6,6 @@ from repro.experiments.problems import (
     TABLE1_SIZES,
     BenchmarkProblem,
     default_config,
-    file_workload,
-    paper_problem,
     scaled_iterations,
     scaled_problem,
 )
@@ -52,8 +50,6 @@ from repro.experiments.ablations import (
 
 __all__ = [
     "BenchmarkProblem",
-    "file_workload",
-    "paper_problem",
     "scaled_problem",
     "scaled_iterations",
     "default_config",

@@ -13,7 +13,7 @@ machine actually anneals rather than merely quantizing random phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

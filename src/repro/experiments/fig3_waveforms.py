@@ -15,7 +15,7 @@ in each interval — 2 after the first SHIL, 4 after the second).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.dynamics.integrators import Trajectory
 from repro.dynamics.waveform import WaveformSet, reconstruct_waveforms
 from repro.graphs.generators import kings_graph
 from repro.ising.vector_potts import phases_to_spins
-from repro.units import ns
 
 
 @dataclass

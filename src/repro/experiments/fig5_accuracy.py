@@ -17,16 +17,14 @@ skips sizes Table 1 already solved under the same seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.reporting import accuracy_series_text, text_histogram
 from repro.core.config import MSROPMConfig
-from repro.core.results import SolveResult
 from repro.experiments.problems import (
     FIGURE5_SIZES,
-    PAPER_ITERATIONS,
     default_config,
     scaled_iterations,
     scaled_problem,

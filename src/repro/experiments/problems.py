@@ -9,24 +9,19 @@ boards, fewer iterations) while the full-sized runs remain one flag away.
 
 Problems double as *runtime workloads*: every :class:`BenchmarkProblem`
 carries a content-addressable :class:`repro.runtime.jobs.GraphSpec` (its
-``spec`` property) that the experiment runtime schedules and caches by, and
-:func:`file_workload` registers externally supplied DIMACS ``.col`` (or graph
-JSON) instances as the same first-class citizens the King's boards are —
-``msropm solve --graph path.col`` routes through it.
+``spec`` property) that the experiment runtime schedules and caches by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
 from repro.graphs.generators import PAPER_PROBLEM_SIDES, kings_graph
 from repro.graphs.graph import Graph
-from repro.runtime.jobs import ExplicitGraphSpec, GraphSpec, KingsGraphSpec, as_graph_spec
+from repro.runtime.jobs import KingsGraphSpec
 
 #: Iterations per problem in the paper's evaluation.
 PAPER_ITERATIONS = 40
@@ -40,47 +35,22 @@ FIGURE5_SIZES = (49, 400, 1024)
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
-    """One benchmark problem instance: a graph plus its workload metadata.
-
-    ``rows``/``cols`` are the board shape for King's-graph problems and 0 for
-    file-loaded workloads.  ``source`` records where a file workload came
-    from (empty for generated boards); ``workload_spec`` carries the spec the
-    workload was loaded through, so ``graph`` and the graph the runtime
-    solves are guaranteed to be the same content.
-    """
+    """One benchmark problem instance: a King's graph and its board shape."""
 
     num_nodes: int
     rows: int
     cols: int
     graph: Graph
-    source: str = ""
-    workload_spec: Optional[GraphSpec] = None
 
     @property
     def name(self) -> str:
-        """Human-readable problem name ("49-node", or the instance stem)."""
-        if self.source:
-            return Path(self.source).stem
+        """Human-readable problem name ("49-node")."""
         return f"{self.num_nodes}-node"
 
-    @cached_property
-    def spec(self) -> GraphSpec:
+    @property
+    def spec(self) -> KingsGraphSpec:
         """The content-addressable graph spec the runtime schedules this problem by."""
-        if self.workload_spec is not None:
-            return self.workload_spec
-        if self.rows > 0 and self.cols > 0:
-            return KingsGraphSpec(self.rows, self.cols)
-        return ExplicitGraphSpec(self.graph)
-
-
-def paper_problem(num_nodes: int) -> BenchmarkProblem:
-    """Return one of the paper's benchmark problems by node count."""
-    side = PAPER_PROBLEM_SIDES.get(num_nodes)
-    if side is None:
-        raise ConfigurationError(
-            f"num_nodes must be one of {sorted(PAPER_PROBLEM_SIDES)}, got {num_nodes}"
-        )
-    return BenchmarkProblem(num_nodes=num_nodes, rows=side, cols=side, graph=kings_graph(side, side))
+        return KingsGraphSpec(self.rows, self.cols)
 
 
 def scaled_side(num_nodes: int, scale: float = 1.0) -> int:
@@ -124,32 +94,6 @@ def scaled_problem(num_nodes: int, scale: float = 1.0) -> BenchmarkProblem:
     side = scaled_side(num_nodes, scale)
     return BenchmarkProblem(
         num_nodes=side * side, rows=side, cols=side, graph=kings_graph(side, side)
-    )
-
-
-def file_workload(path: Union[str, Path]) -> BenchmarkProblem:
-    """Register an externally supplied graph file as a first-class workload.
-
-    Accepts DIMACS ``.col``/``.dimacs`` instances (the coloring community's
-    interchange format) and the library's graph JSON — the same dispatch as
-    :func:`repro.graphs.io.read_graph`.  The file is parsed through the
-    runtime spec itself (one read), so the returned problem's ``graph`` and
-    the content the runtime hashes, schedules and caches by are guaranteed
-    identical — and editing the file invalidates its cache entries
-    automatically.
-    """
-    path = Path(path)
-    spec = as_graph_spec(path)
-    graph = spec.build()
-    if graph.num_nodes == 0:
-        raise ConfigurationError(f"workload {path} contains an empty graph")
-    return BenchmarkProblem(
-        num_nodes=graph.num_nodes,
-        rows=0,
-        cols=0,
-        graph=graph,
-        source=str(path),
-        workload_spec=spec,
     )
 
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.reporting import format_power_mw, format_search_space, format_table
 from repro.circuit.power import PAPER_POWER_MW, PowerModel
 from repro.core.config import MSROPMConfig
 from repro.experiments.problems import (
-    PAPER_ITERATIONS,
     TABLE1_SIZES,
     default_config,
     scaled_iterations,

@@ -24,7 +24,7 @@ baselines keep their own (cheap, comparison-sized) iteration loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

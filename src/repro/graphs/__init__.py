@@ -4,48 +4,30 @@ from repro.graphs.graph import Graph
 from repro.graphs.generators import (
     PAPER_PROBLEM_SIDES,
     PAPER_PROBLEM_SIZES,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     erdos_renyi_graph,
-    grid_graph,
-    hexagonal_graph,
     kings_graph,
-    kings_graph_with_inactive_edges,
-    paper_kings_graph,
-    path_graph,
     random_planar_triangulation,
     random_regular_like_graph,
-    star_graph,
 )
 from repro.graphs.coloring import (
     Coloring,
-    count_proper_edges,
     dsatur_coloring,
-    greedy_coloring,
     kings_graph_reference_coloring,
-    random_coloring,
-    welsh_powell_coloring,
 )
 from repro.graphs.partition import (
     Bipartition,
-    balanced_halves,
     cut_edges,
     cut_size,
-    internal_edges,
     partition_from_coloring_bit,
-    split_graph,
 )
 from repro.graphs.io import (
     from_dimacs,
     from_json,
     read_dimacs,
-    read_graph,
     read_json,
     to_dimacs,
     to_json,
     write_dimacs,
-    write_json,
 )
 from repro.graphs.properties import (
     chromatic_number_bounds,
@@ -54,8 +36,6 @@ from repro.graphs.properties import (
     is_bipartite,
     is_kings_graph_shape,
     max_clique_lower_bound,
-    search_space_log10,
-    search_space_size,
     two_coloring,
 )
 
@@ -66,46 +46,26 @@ __all__ = [
     "PAPER_PROBLEM_SIDES",
     "PAPER_PROBLEM_SIZES",
     "kings_graph",
-    "paper_kings_graph",
-    "kings_graph_with_inactive_edges",
-    "grid_graph",
-    "hexagonal_graph",
-    "cycle_graph",
-    "path_graph",
-    "complete_graph",
-    "complete_bipartite_graph",
-    "star_graph",
     "erdos_renyi_graph",
     "random_regular_like_graph",
     "random_planar_triangulation",
-    "greedy_coloring",
-    "welsh_powell_coloring",
     "dsatur_coloring",
-    "random_coloring",
     "kings_graph_reference_coloring",
-    "count_proper_edges",
-    "balanced_halves",
     "cut_edges",
     "cut_size",
-    "internal_edges",
     "partition_from_coloring_bit",
-    "split_graph",
     "to_dimacs",
     "from_dimacs",
     "read_dimacs",
-    "read_graph",
     "write_dimacs",
     "to_json",
     "from_json",
     "read_json",
-    "write_json",
     "degree_statistics",
     "is_bipartite",
     "two_coloring",
     "max_clique_lower_bound",
     "greedy_chromatic_upper_bound",
     "chromatic_number_bounds",
-    "search_space_size",
-    "search_space_log10",
     "is_kings_graph_shape",
 ]

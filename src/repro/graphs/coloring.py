@@ -1,22 +1,20 @@
 """Graph coloring data structures, validity checks and classical heuristics.
 
 A *coloring* maps every node of a graph to an integer color ``0 .. K-1``.  The
-MSROPM produces colorings by reading out oscillator phases; the classical
-heuristics here (greedy, Welsh-Powell, DSATUR) are used as baselines, as
-reference colorings for King's graphs, and to provide quick upper bounds on
-the chromatic number in tests.
+MSROPM produces colorings by reading out oscillator phases; the DSATUR
+heuristic here gives quick upper bounds on the chromatic number, and the
+closed-form King's graph coloring is the reference solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ColoringError
 from repro.graphs.graph import Graph, Node
-from repro.rng import SeedLike, make_rng
 
 
 @dataclass
@@ -131,34 +129,6 @@ class Coloring:
         return Coloring(assignment=new_assignment, num_colors=self.num_colors)
 
 
-# ----------------------------------------------------------------------
-# Classical coloring heuristics
-# ----------------------------------------------------------------------
-def greedy_coloring(graph: Graph, order: Optional[Sequence[Node]] = None, num_colors: Optional[int] = None) -> Coloring:
-    """Greedy (first-fit) coloring following ``order`` (default: insertion order).
-
-    The number of colors in the returned :class:`Coloring` is the maximum of
-    the colors used and ``num_colors`` if provided.
-    """
-    if order is None:
-        order = graph.nodes
-    assignment: Dict[Node, int] = {}
-    for node in order:
-        taken = {assignment[neighbor] for neighbor in graph.neighbors(node) if neighbor in assignment}
-        color = 0
-        while color in taken:
-            color += 1
-        assignment[node] = color
-    highest = max(assignment.values(), default=-1) + 1
-    return Coloring(assignment=assignment, num_colors=max(highest, num_colors or 1))
-
-
-def welsh_powell_coloring(graph: Graph, num_colors: Optional[int] = None) -> Coloring:
-    """Welsh-Powell coloring: greedy in order of decreasing degree."""
-    order = sorted(graph.nodes, key=lambda node: (-graph.degree(node), str(node)))
-    return greedy_coloring(graph, order=order, num_colors=num_colors)
-
-
 def dsatur_coloring(graph: Graph, num_colors: Optional[int] = None) -> Coloring:
     """DSATUR coloring: always color the node with the highest saturation next.
 
@@ -191,15 +161,6 @@ def _stable_rank(graph: Graph, node: Node) -> int:
     return graph.node_index()[node]
 
 
-def random_coloring(graph: Graph, num_colors: int, seed: SeedLike = None) -> Coloring:
-    """Return a uniformly random (generally improper) K-coloring."""
-    if num_colors <= 0:
-        raise ColoringError(f"num_colors must be positive, got {num_colors}")
-    rng = make_rng(seed)
-    colors = rng.integers(0, num_colors, size=graph.num_nodes)
-    return Coloring.from_array(graph, colors, num_colors)
-
-
 def kings_graph_reference_coloring(rows: int, cols: int) -> Coloring:
     """Return the canonical proper 4-coloring of a ``rows x cols`` King's graph.
 
@@ -212,8 +173,3 @@ def kings_graph_reference_coloring(rows: int, cols: int) -> Coloring:
         raise ColoringError(f"rows and cols must be positive, got {rows}x{cols}")
     assignment = {(r, c): 2 * (r % 2) + (c % 2) for r in range(rows) for c in range(cols)}
     return Coloring(assignment=assignment, num_colors=4)
-
-
-def count_proper_edges(graph: Graph, coloring: Coloring) -> int:
-    """Return the number of edges with differently colored endpoints."""
-    return graph.num_edges - coloring.num_conflicts(graph)

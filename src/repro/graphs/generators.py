@@ -5,20 +5,15 @@ as **King's graphs** (a grid where every cell is also connected to its diagonal
 neighbours, i.e. the moves of a chess king), of sizes 49 (7x7), 400 (20x20),
 1024 (32x32) and 2116 (46x46) nodes with all 8 edges per interior node active.
 
-This module provides the King's graph generator together with the other sparse
-fabric topologies discussed in the background section (rectangular grid,
-hexagonal lattice) and a handful of generic generators used by the test-suite
-and the baseline solvers (cycles, complete graphs, Erdos-Renyi, random planar
-triangulations).
+This module provides the King's graph generator together with the random
+families of the workload zoo (Erdos-Renyi, near-regular graphs and random
+planar triangulations).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
@@ -36,23 +31,6 @@ PAPER_PROBLEM_SIDES = {49: 7, 400: 20, 1024: 32, 2116: 46}
 def _check_positive(name: str, value: int) -> None:
     if value <= 0:
         raise GraphError(f"{name} must be a positive integer, got {value}")
-
-
-def grid_graph(rows: int, cols: int, name: str = "") -> Graph:
-    """Return a ``rows x cols`` rectangular grid graph (4-neighbour)."""
-    _check_positive("rows", rows)
-    _check_positive("cols", cols)
-    graph = Graph(name=name or f"grid-{rows}x{cols}")
-    for r in range(rows):
-        for c in range(cols):
-            graph.add_node((r, c))
-    for r in range(rows):
-        for c in range(cols):
-            if r + 1 < rows:
-                graph.add_edge((r, c), (r + 1, c))
-            if c + 1 < cols:
-                graph.add_edge((r, c), (r, c + 1))
-    return graph
 
 
 def kings_graph(rows: int, cols: Optional[int] = None, name: str = "") -> Graph:
@@ -78,115 +56,6 @@ def kings_graph(rows: int, cols: Optional[int] = None, name: str = "") -> Graph:
                 rr, cc = r + dr, c + dc
                 if 0 <= rr < rows and 0 <= cc < cols:
                     graph.add_edge((r, c), (rr, cc))
-    return graph
-
-
-def paper_kings_graph(num_nodes: int) -> Graph:
-    """Return the square King's graph used in the paper for ``num_nodes``.
-
-    ``num_nodes`` must be one of :data:`PAPER_PROBLEM_SIZES` (49, 400, 1024,
-    2116); other perfect squares are accepted too and produce the obvious
-    ``sqrt(n) x sqrt(n)`` board.
-    """
-    side = PAPER_PROBLEM_SIDES.get(num_nodes)
-    if side is None:
-        side = int(round(math.sqrt(num_nodes)))
-        if side * side != num_nodes:
-            raise GraphError(
-                f"num_nodes must be a perfect square (paper uses {PAPER_PROBLEM_SIZES}), got {num_nodes}"
-            )
-    return kings_graph(side, side, name=f"kings-{num_nodes}")
-
-
-def hexagonal_graph(rows: int, cols: int, name: str = "") -> Graph:
-    """Return a triangular-lattice ("hexagonally coupled") graph.
-
-    Each node has up to six neighbours: the four grid neighbours plus one
-    diagonal whose direction alternates with the row parity.  This mirrors the
-    hexagonal coupling fabric of the 560-oscillator ROIM referenced in the
-    paper's background section.
-    """
-    _check_positive("rows", rows)
-    _check_positive("cols", cols)
-    graph = Graph(name=name or f"hex-{rows}x{cols}")
-    for r in range(rows):
-        for c in range(cols):
-            graph.add_node((r, c))
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                graph.add_edge((r, c), (r, c + 1))
-            if r + 1 < rows:
-                graph.add_edge((r, c), (r + 1, c))
-                # Alternate the diagonal direction per row to form triangles.
-                if r % 2 == 0 and c + 1 < cols:
-                    graph.add_edge((r, c), (r + 1, c + 1))
-                elif r % 2 == 1 and c - 1 >= 0:
-                    graph.add_edge((r, c), (r + 1, c - 1))
-    return graph
-
-
-def cycle_graph(num_nodes: int, name: str = "") -> Graph:
-    """Return the cycle graph ``C_n``."""
-    _check_positive("num_nodes", num_nodes)
-    graph = Graph(name=name or f"cycle-{num_nodes}")
-    for i in range(num_nodes):
-        graph.add_node(i)
-    if num_nodes == 1:
-        return graph
-    if num_nodes == 2:
-        graph.add_edge(0, 1)
-        return graph
-    for i in range(num_nodes):
-        graph.add_edge(i, (i + 1) % num_nodes)
-    return graph
-
-
-def path_graph(num_nodes: int, name: str = "") -> Graph:
-    """Return the path graph ``P_n``."""
-    _check_positive("num_nodes", num_nodes)
-    graph = Graph(name=name or f"path-{num_nodes}")
-    for i in range(num_nodes):
-        graph.add_node(i)
-    for i in range(num_nodes - 1):
-        graph.add_edge(i, i + 1)
-    return graph
-
-
-def complete_graph(num_nodes: int, name: str = "") -> Graph:
-    """Return the complete graph ``K_n``."""
-    _check_positive("num_nodes", num_nodes)
-    graph = Graph(name=name or f"complete-{num_nodes}")
-    for i in range(num_nodes):
-        graph.add_node(i)
-    for i, j in itertools.combinations(range(num_nodes), 2):
-        graph.add_edge(i, j)
-    return graph
-
-
-def star_graph(num_leaves: int, name: str = "") -> Graph:
-    """Return a star with one hub (node 0) and ``num_leaves`` leaves."""
-    if num_leaves < 0:
-        raise GraphError(f"num_leaves must be non-negative, got {num_leaves}")
-    graph = Graph(name=name or f"star-{num_leaves}")
-    graph.add_node(0)
-    for leaf in range(1, num_leaves + 1):
-        graph.add_edge(0, leaf)
-    return graph
-
-
-def complete_bipartite_graph(left: int, right: int, name: str = "") -> Graph:
-    """Return the complete bipartite graph ``K_{left,right}``."""
-    _check_positive("left", left)
-    _check_positive("right", right)
-    graph = Graph(name=name or f"bipartite-{left}x{right}")
-    for i in range(left):
-        graph.add_node(("L", i))
-    for j in range(right):
-        graph.add_node(("R", j))
-    for i in range(left):
-        for j in range(right):
-            graph.add_edge(("L", i), ("R", j))
     return graph
 
 
@@ -249,31 +118,4 @@ def random_planar_triangulation(num_points: int, seed: SeedLike = None, name: st
         graph.add_edge(a, b)
         graph.add_edge(b, c)
         graph.add_edge(a, c)
-    return graph
-
-
-def kings_graph_with_inactive_edges(
-    rows: int,
-    cols: Optional[int] = None,
-    active_fraction: float = 1.0,
-    seed: SeedLike = None,
-    name: str = "",
-) -> Graph:
-    """Return a King's graph where only a fraction of edges is active.
-
-    The hardware fabric has a B2B coupling element per potential edge which is
-    gated by a local enable signal (``L_EN``); problems that do not use every
-    edge simply leave some couplings disabled.  ``active_fraction`` models that
-    by keeping each edge independently with the given probability.
-    """
-    if not 0.0 <= active_fraction <= 1.0:
-        raise GraphError(f"active_fraction must be in [0, 1], got {active_fraction}")
-    full = kings_graph(rows, cols, name=name)
-    if active_fraction >= 1.0:
-        return full
-    rng = make_rng(seed)
-    graph = Graph(nodes=full.nodes, name=full.name + f"-f{active_fraction}")
-    for u, v in full.edges():
-        if rng.random() < active_fraction:
-            graph.add_edge(u, v)
     return graph

@@ -14,7 +14,7 @@ oscillator arrays line up deterministically.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse

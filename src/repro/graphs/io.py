@@ -1,4 +1,4 @@
-"""Graph serialization: DIMACS ``.col`` files, edge lists and JSON.
+"""Graph serialization: DIMACS ``.col`` files and JSON.
 
 The graph-coloring community distributes benchmarks in the DIMACS ``.col``
 format (``p edge N M`` header plus ``e u v`` lines); supporting it makes the
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.exceptions import GraphError
-from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph, Node
 
 PathLike = Union[str, Path]
@@ -121,20 +120,6 @@ def read_dimacs(path: PathLike, name: str = "") -> Graph:
     return from_dimacs(text, name=name or Path(path).stem)
 
 
-def read_graph(path: PathLike) -> Graph:
-    """Read a graph from ``path``, dispatching on the file extension.
-
-    ``.json`` loads the library's label-preserving JSON codec; everything else
-    (``.col``, ``.dimacs``, extensionless benchmark files) is parsed as DIMACS.
-    This is the loader behind ``msropm solve --graph`` and
-    :func:`repro.experiments.problems.file_workload`.
-    """
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return read_json(path)
-    return read_dimacs(path)
-
-
 # ----------------------------------------------------------------------
 # JSON (labels preserved)
 # ----------------------------------------------------------------------
@@ -178,35 +163,6 @@ def from_json(text: str) -> Graph:
     return graph
 
 
-def write_json(graph: Graph, path: PathLike) -> None:
-    """Write ``graph`` to ``path`` as JSON."""
-    Path(path).write_text(to_json(graph), encoding="utf-8")
-
-
 def read_json(path: PathLike) -> Graph:
-    """Read a graph from a JSON file produced by :func:`write_json`."""
+    """Read a graph from a JSON file holding :func:`to_json` output."""
     return from_json(Path(path).read_text(encoding="utf-8"))
-
-
-# ----------------------------------------------------------------------
-# Colorings
-# ----------------------------------------------------------------------
-def coloring_to_json(graph: Graph, coloring: Coloring) -> str:
-    """Serialize a coloring aligned with ``graph`` to JSON."""
-    payload = {
-        "num_colors": coloring.num_colors,
-        "colors": [int(coloring.color_of(node)) for node in graph.nodes],
-    }
-    return json.dumps(payload)
-
-
-def coloring_from_json(graph: Graph, text: str) -> Coloring:
-    """Deserialize a coloring produced by :func:`coloring_to_json`."""
-    payload = json.loads(text)
-    return Coloring.from_array(graph, payload["colors"], payload["num_colors"])
-
-
-def edge_list(graph: Graph) -> List[Tuple[int, int]]:
-    """Return the edge list in node-index space (useful for external tools)."""
-    index = graph.node_index()
-    return [(index[u], index[v]) for u, v in graph.edges()]

@@ -9,7 +9,7 @@ plain graphs so both the machine and the software baselines can reuse it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph, Node
@@ -87,28 +87,6 @@ def cut_size(graph: Graph, partition: Bipartition) -> int:
     return len(cut_edges(graph, partition))
 
 
-def internal_edges(graph: Graph, partition: Bipartition) -> List[Tuple[Node, Node]]:
-    """Return the edges of ``graph`` that stay within one side of the partition."""
-    if not partition.covers(graph):
-        raise GraphError("partition does not cover every graph node")
-    kept = []
-    for u, v in graph.edges():
-        if partition.side_of(u) == partition.side_of(v):
-            kept.append((u, v))
-    return kept
-
-
-def split_graph(graph: Graph, partition: Bipartition) -> Tuple[Graph, Graph]:
-    """Return the two induced subgraphs on the partition sides.
-
-    This is the software analogue of gating off the cross-partition B2B
-    couplings with ``P_EN`` after the first SHIL read-out.
-    """
-    sub_a = graph.subgraph([node for node in graph.nodes if node in partition.side_a], name=graph.name + "-A")
-    sub_b = graph.subgraph([node for node in graph.nodes if node in partition.side_b], name=graph.name + "-B")
-    return sub_a, sub_b
-
-
 def partition_from_coloring_bit(coloring_labels: Mapping[Node, int], bit: int) -> Bipartition:
     """Derive a bipartition from one bit of integer color labels.
 
@@ -120,17 +98,4 @@ def partition_from_coloring_bit(coloring_labels: Mapping[Node, int], bit: int) -
         raise GraphError(f"bit must be non-negative, got {bit}")
     side_a = {node for node, color in coloring_labels.items() if not (int(color) >> bit) & 1}
     side_b = {node for node, color in coloring_labels.items() if (int(color) >> bit) & 1}
-    return Bipartition(side_a=frozenset(side_a), side_b=frozenset(side_b))
-
-
-def balanced_halves(graph: Graph) -> Bipartition:
-    """Return a trivially balanced bipartition by alternating node order.
-
-    Used as a deterministic fallback/initial partition in tests and as a
-    reference point in sweeps; it is *not* a max-cut.
-    """
-    side_a = set()
-    side_b = set()
-    for index, node in enumerate(graph.nodes):
-        (side_a if index % 2 == 0 else side_b).add(node)
     return Bipartition(side_a=frozenset(side_a), side_b=frozenset(side_b))

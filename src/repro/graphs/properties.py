@@ -8,11 +8,10 @@ bound ``Delta + 1`` on the chromatic number).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.exceptions import GraphError
 from repro.graphs.coloring import dsatur_coloring
 from repro.graphs.graph import Graph, Node
 
@@ -57,14 +56,6 @@ def two_coloring(graph: Graph) -> Optional[Dict[Node, int]]:
     return colors
 
 
-def contains_triangle(graph: Graph) -> bool:
-    """Return ``True`` if the graph contains a 3-clique."""
-    for u, v in graph.edges():
-        if graph.neighbors(u) & graph.neighbors(v):
-            return True
-    return False
-
-
 def max_clique_lower_bound(graph: Graph) -> int:
     """Return a greedy lower bound on the clique number (hence on chromatic number)."""
     if graph.num_nodes == 0:
@@ -99,30 +90,6 @@ def chromatic_number_bounds(graph: Graph) -> Tuple[int, int]:
         return (lower, max(lower, 1 if graph.num_edges == 0 else 2))
     upper = greedy_chromatic_upper_bound(graph)
     return (lower, max(lower, upper))
-
-
-def search_space_size(num_nodes: int, num_colors: int) -> int:
-    """Return ``num_colors ** num_nodes`` — the Potts search-space size of Table 1.
-
-    Python integers are unbounded, so the exact value (e.g. ``4**2116``) is
-    returned; use :func:`search_space_log10` for a printable magnitude.
-    """
-    if num_nodes < 0 or num_colors <= 0:
-        raise GraphError(
-            f"need num_nodes >= 0 and num_colors > 0, got {num_nodes}, {num_colors}"
-        )
-    return num_colors ** num_nodes
-
-
-def search_space_log10(num_nodes: int, num_colors: int) -> float:
-    """Return ``log10`` of the Potts search-space size."""
-    if num_nodes < 0 or num_colors <= 0:
-        raise GraphError(
-            f"need num_nodes >= 0 and num_colors > 0, got {num_nodes}, {num_colors}"
-        )
-    if num_nodes == 0:
-        return 0.0
-    return num_nodes * float(np.log10(num_colors))
 
 
 def is_kings_graph_shape(graph: Graph) -> bool:

@@ -18,7 +18,7 @@ label refers to the inverting nature of the medium, not to the sign of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -155,13 +155,3 @@ def spins_to_labels(spins: Mapping[Node, int]) -> Dict[Node, int]:
         _validate_spin(spin, node)
         labels[node] = 0 if spin == 1 else 1
     return labels
-
-
-def labels_to_spins(labels: Mapping[Node, int]) -> Dict[Node, int]:
-    """Map {0, 1} labels to +/-1 spins (0 -> +1, 1 -> -1)."""
-    spins = {}
-    for node, label in labels.items():
-        if label not in (0, 1):
-            raise ReproError(f"label of node {node!r} must be 0 or 1, got {label!r}")
-        spins[node] = 1 if label == 0 else -1
-    return spins

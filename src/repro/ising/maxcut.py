@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.exceptions import ReproError
-from repro.graphs.coloring import Coloring, kings_graph_reference_coloring
+from repro.graphs.coloring import kings_graph_reference_coloring
 from repro.graphs.graph import Graph, Node
 from repro.graphs.partition import Bipartition, cut_size, partition_from_coloring_bit
-from repro.ising.ising_model import IsingProblem, labels_to_spins, spins_to_labels
-from repro.rng import SeedLike, make_rng
+from repro.ising.ising_model import IsingProblem, spins_to_labels
 
 
 @dataclass
@@ -90,18 +87,6 @@ class MaxCutProblem:
         return float(self.cut_value(partition) / reference)
 
 
-def cut_from_ising_energy(problem: MaxCutProblem, energy: float, strength: float = 1.0) -> float:
-    """Recover the cut value from the anti-aligning Ising energy.
-
-    Uses ``H(s) = strength * (W - 2 * cut)`` where ``W`` is the total weight
-    (see :meth:`MaxCutProblem.to_ising`).
-    """
-    if strength <= 0:
-        raise ReproError(f"strength must be positive, got {strength}")
-    total = problem.total_weight()
-    return (total - energy / strength) / 2.0
-
-
 def kings_graph_reference_cut(rows: int, cols: int) -> int:
     """Return the stage-1 reference cut value for a ``rows x cols`` King's graph.
 
@@ -119,41 +104,3 @@ def kings_graph_reference_cut(rows: int, cols: int) -> int:
 
     graph = kings_graph(rows, cols)
     return cut_size(graph, partition)
-
-
-def random_partition(graph: Graph, seed: SeedLike = None) -> Bipartition:
-    """Return a uniformly random bipartition of ``graph``."""
-    rng = make_rng(seed)
-    labels = {node: int(rng.integers(0, 2)) for node in graph.nodes}
-    return Bipartition.from_labels(labels)
-
-
-def greedy_local_improvement(problem: MaxCutProblem, partition: Bipartition, max_passes: int = 10) -> Bipartition:
-    """One-exchange local search: move nodes across the cut while it improves.
-
-    Used by the baselines as a cheap polish step and by tests as an
-    independent check that the oscillator machine's cuts are locally optimal
-    or near-optimal.
-    """
-    if max_passes <= 0:
-        raise ReproError(f"max_passes must be positive, got {max_passes}")
-    labels = partition.labels()
-    for node in problem.graph.nodes:
-        labels.setdefault(node, 0)
-    improved = True
-    passes = 0
-    while improved and passes < max_passes:
-        improved = False
-        passes += 1
-        for node in problem.graph.nodes:
-            gain = 0.0
-            for neighbor in problem.graph.neighbors(node):
-                weight = problem.weight(node, neighbor)
-                if labels[neighbor] == labels[node]:
-                    gain += weight  # flipping node would now cut this edge
-                else:
-                    gain -= weight  # flipping node would un-cut this edge
-            if gain > 0:
-                labels[node] = 1 - labels[node]
-                improved = True
-    return Bipartition.from_labels(labels)

@@ -7,21 +7,17 @@ is::
     H(theta) = sum_{i,j} J_ij * cos(theta_i - theta_j)
 
 For an N-phase Potts machine the phases are (ideally) locked to the N values
-``2*pi*s/N``.  This module evaluates the continuous Hamiltonian, quantizes
-phases to spins, and converts spins back to target phases — the bridge between
-the dynamics layer and the discrete models.
+``2*pi*s/N``.  This module evaluates the continuous Hamiltonian and quantizes
+phases to spins — the bridge between the dynamics layer and the discrete
+models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
-
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.graphs.graph import Graph, Node
-from repro.ising.ising_model import IsingProblem
-from repro.ising.potts_model import PottsProblem
+from repro.graphs.graph import Graph
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,13 +25,6 @@ TWO_PI = 2.0 * np.pi
 def wrap_phase(theta):
     """Wrap phases into ``[0, 2*pi)`` (elementwise for arrays)."""
     return np.mod(theta, TWO_PI)
-
-
-def phase_difference(theta_a, theta_b):
-    """Return the wrapped signed difference ``theta_a - theta_b`` in ``(-pi, pi]``."""
-    diff = np.mod(np.asarray(theta_a) - np.asarray(theta_b) + np.pi, TWO_PI) - np.pi
-    # Map -pi to +pi so the representative interval is (-pi, pi].
-    return np.where(np.isclose(diff, -np.pi), np.pi, diff)
 
 
 def vector_potts_energy(problem_graph: Graph, phases: np.ndarray, coupling_matrix=None, default_coupling: float = -1.0) -> float:
@@ -70,26 +59,6 @@ def vector_potts_energy(problem_graph: Graph, phases: np.ndarray, coupling_matri
     return float(0.5 * np.sum(matrix * cos_matrix))
 
 
-def ising_phase_energy(problem: IsingProblem, phases: np.ndarray) -> float:
-    """Eq. (2): the phase Hamiltonian for an Ising problem's couplings."""
-    return vector_potts_energy(problem.graph, phases, coupling_matrix=problem.coupling_matrix())
-
-
-def target_phases(num_states: int) -> np.ndarray:
-    """Return the N equally spaced lock phases ``2*pi*k/N`` for ``k=0..N-1``."""
-    if num_states < 2:
-        raise ReproError(f"num_states must be at least 2, got {num_states}")
-    return TWO_PI * np.arange(num_states) / num_states
-
-
-def spins_to_phases(spins: Sequence[int], num_states: int) -> np.ndarray:
-    """Map integer Potts spins to their ideal phases ``2*pi*s/N``."""
-    spins = np.asarray(spins, dtype=int)
-    if spins.size and (spins.min() < 0 or spins.max() >= num_states):
-        raise ReproError(f"spins must be in [0, {num_states})")
-    return TWO_PI * spins / num_states
-
-
 def phases_to_spins(phases: np.ndarray, num_states: int, offset: float = 0.0) -> np.ndarray:
     """Quantize phases to the nearest of the N lock points.
 
@@ -109,32 +78,3 @@ def phases_to_spins(phases: np.ndarray, num_states: int, offset: float = 0.0) ->
     step = TWO_PI / num_states
     spins = np.rint(phases / step).astype(int) % num_states
     return spins
-
-
-def phase_alignment_error(phases: np.ndarray, num_states: int, offset: float = 0.0) -> np.ndarray:
-    """Return the absolute distance of each phase from its nearest lock point (radians)."""
-    phases = np.asarray(phases, dtype=float)
-    spins = phases_to_spins(phases, num_states, offset=offset)
-    targets = spins_to_phases(spins, num_states) + offset
-    return np.abs(phase_difference(phases, targets))
-
-
-def binarize_phases(phases: np.ndarray, shil_phase_offset: float = 0.0) -> np.ndarray:
-    """Binarize phases to {0, 1} relative to a 2nd-harmonic SHIL lock grid.
-
-    With a SHIL at twice the oscillator frequency and phase offset
-    ``shil_phase_offset`` (of the *fundamental*), the two stable phases are
-    ``shil_phase_offset`` and ``shil_phase_offset + pi``; this function decides
-    which of the two each oscillator is closer to (0 for the first, 1 for the
-    second).
-    """
-    phases = np.asarray(phases, dtype=float)
-    relative = wrap_phase(phases - shil_phase_offset)
-    return (np.abs(phase_difference(relative, np.pi)) < np.pi / 2).astype(int)
-
-
-def potts_energy_from_phases(problem: PottsProblem, phases: np.ndarray, offset: float = 0.0) -> float:
-    """Quantize phases and evaluate the discrete Potts Hamiltonian."""
-    spins = phases_to_spins(phases, problem.num_states, offset=offset)
-    assignment = {node: int(spin) for node, spin in zip(problem.graph.nodes, spins)}
-    return problem.energy(assignment)

@@ -32,7 +32,7 @@ of ledger bytes (plus the content-addressed cache for reports).
 """
 
 from repro.obs.clock import wall_time
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics, time_block
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.projection import (
     CampaignProjection,
     LedgerFollower,
@@ -42,7 +42,6 @@ from repro.obs.projection import (
     render_watch,
 )
 from repro.obs.sinks import (
-    CallbackSink,
     JsonlFileSink,
     Sink,
     SinkEmitError,
@@ -51,7 +50,6 @@ from repro.obs.sinks import (
 )
 
 __all__ = [
-    "CallbackSink",
     "CampaignProjection",
     "JsonlFileSink",
     "LedgerFollower",
@@ -65,7 +63,5 @@ __all__ = [
     "project_state",
     "render_report",
     "render_watch",
-    "set_metrics",
-    "time_block",
     "wall_time",
 ]

@@ -18,8 +18,7 @@ registry never sits inside a numeric inner loop.
 
 Process-global use: the runtime increments the shared registry returned by
 :func:`get_metrics`, which is what ``msropm campaign report --metrics-out``
-snapshots and the service's ``GET /metrics`` serves.  Tests swap it out with
-:func:`set_metrics` to assert on isolated counters.
+snapshots and the service's ``GET /metrics`` serves.
 """
 
 from __future__ import annotations
@@ -177,23 +176,3 @@ def get_metrics() -> MetricsRegistry:
     """The process-global registry the runtime's hot seams increment."""
     with _default_lock:
         return _default_registry
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry; returns the previous one.
-
-    Tests install a fresh registry (often with a fake clock) and restore the
-    old one afterwards, so instrumented code needs no per-callsite plumbing.
-    """
-    global _default_registry
-    with _default_lock:
-        previous = _default_registry
-        _default_registry = registry
-    return previous
-
-
-@contextlib.contextmanager
-def time_block(name: str) -> Iterator[None]:
-    """Time a block into the process-global registry (seam convenience)."""
-    with get_metrics().timer(name):
-        yield

@@ -2,7 +2,8 @@
 
 The orchestrator (and anything else holding ledger-shaped events) publishes
 through a :class:`SinkRouter`, which fans each event out to the sinks whose
-kind filters match.  Three sink flavors ship:
+kind filters match.  Two sink flavors ship, and an embedder subclasses
+:class:`Sink` for anything else:
 
 :class:`JsonlFileSink`
     Appends one JSON line per event — the same committed-on-newline framing
@@ -10,8 +11,6 @@ kind filters match.  Three sink flavors ship:
 :class:`WebhookSink`
     POSTs each event as JSON to an HTTP endpoint (stdlib ``urllib`` — no new
     dependency).  The opener is injectable so tests never open sockets.
-:class:`CallbackSink`
-    Invokes an in-process callable (library embedders, tests).
 
 Failure policy — the load-bearing rule of this module: **a sink failure
 must never fail the campaign.**  Delivery is best-effort; errors increment
@@ -54,22 +53,6 @@ class Sink:
     def describe(self) -> str:
         """Human-readable identity for status lines and error messages."""
         return type(self).__name__
-
-
-class CallbackSink(Sink):
-    """Deliver events to an in-process callable."""
-
-    def __init__(self, callback: Callable[[Dict[str, Any]], None]) -> None:
-        self.callback = callback
-        self.delivered = 0
-        self.errors = 0
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        self.callback(event)
-        self.delivered += 1
-
-    def describe(self) -> str:
-        return f"callback:{getattr(self.callback, '__name__', 'anonymous')}"
 
 
 class JsonlFileSink(Sink):

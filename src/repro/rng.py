@@ -8,7 +8,7 @@ reproducible while independent iterations still receive decorrelated streams.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -285,22 +285,6 @@ def make_rng(seed: SeedLike = None) -> Union[np.random.Generator, "ReplicaRNG", 
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> list:
-    """Return ``count`` independent generators derived from ``seed``.
-
-    Independent streams are produced with :class:`numpy.random.SeedSequence`
-    spawning, which guarantees statistical independence between the children
-    regardless of how many random numbers each consumes.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive a seed sequence from the generator's bit stream.
-        seed = int(seed.integers(0, 2**63 - 1))
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
 def iteration_seeds(seed: SeedLike, count: int) -> list:
     """Return ``count`` integer seeds derived deterministically from ``seed``.
 
@@ -313,15 +297,3 @@ def iteration_seeds(seed: SeedLike, count: int) -> list:
         seed = int(seed.integers(0, 2**63 - 1))
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [int(child.generate_state(1, dtype=np.uint64)[0] % (2**31 - 1)) for child in sequence.spawn(count)]
-
-
-def random_phases(num: int, rng: SeedLike = None, low: float = 0.0, high: float = 2.0 * np.pi) -> np.ndarray:
-    """Draw ``num`` uniformly random phases in ``[low, high)``.
-
-    This models the random ROSC start-up phases the paper obtains by turning
-    oscillators on at random instants and letting jitter decorrelate them.
-    """
-    if num < 0:
-        raise ValueError(f"num must be non-negative, got {num}")
-    generator = make_rng(rng)
-    return generator.uniform(low, high, size=num)

@@ -44,6 +44,7 @@ import json
 import os
 import re
 import tarfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union
@@ -497,38 +498,50 @@ class ResultCache:
         """Merge a bundle exported elsewhere into this store.
 
         Every member is parsed and integrity-verified *before* installation —
-        a tampered or truncated bundle contributes nothing — and installation
-        paths are derived from the verified envelope contents, never from
-        archive member names, so a malicious bundle cannot traverse outside
-        the store.  Existing entries are kept (results are content-addressed;
+        a tampered member is rejected and counted — and installation paths
+        are derived from the verified envelope contents, never from archive
+        member names, so a malicious bundle cannot traverse outside the
+        store.  Existing entries are kept (results are content-addressed;
         identical keys hold identical payloads).  Returns counters.
+
+        A bundle that cannot be opened, or that ends early (truncated),
+        raises :class:`ReproError` naming how many entries were installed
+        before the failure; those entries stay, each verified on its own.
         """
         counters = {"imported": 0, "existing": 0, "rejected": 0}
-        with tarfile.open(bundle_path, "r:*") as tar:
-            for member in tar:
-                if not member.isfile() or member.name == "manifest.json":
-                    continue
-                handle = tar.extractfile(member)
-                if handle is None:
-                    counters["rejected"] += 1
-                    continue
-                try:
-                    envelope = json.loads(handle.read().decode("utf-8"))
-                    if not isinstance(envelope, dict):
-                        raise ValueError("not an object")
-                except (OSError, ValueError):
-                    counters["rejected"] += 1
-                    continue
-                target = self._install_target(envelope)
-                if target is None:
-                    counters["rejected"] += 1
-                    continue
-                if target.exists():
-                    counters["existing"] += 1
-                    continue
-                self._write_atomic(target, envelope)
-                counters["imported"] += 1
+        try:
+            with tarfile.open(bundle_path, "r:*") as tar:
+                for member in tar:
+                    if not member.isfile() or member.name == "manifest.json":
+                        continue
+                    handle = tar.extractfile(member)
+                    if handle is None:
+                        counters["rejected"] += 1
+                        continue
+                    self._import_member(handle.read(), counters)
+        except (OSError, EOFError, tarfile.TarError, zlib.error) as exc:
+            installed = counters["imported"]
+            reason = (str(exc).splitlines() or [type(exc).__name__])[0].rstrip(":")
+            raise ReproError(
+                f"cache import from {bundle_path} failed after {installed} installed "
+                f"entr{'y' if installed == 1 else 'ies'}: {reason}"
+            ) from exc
         return counters
+
+    def _import_member(self, raw: bytes, counters: Dict[str, int]) -> None:
+        """Verify one bundle member and install it unless present."""
+        try:
+            envelope = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            envelope = None
+        target = self._install_target(envelope) if isinstance(envelope, dict) else None
+        if target is None:
+            counters["rejected"] += 1
+        elif target.exists():
+            counters["existing"] += 1
+        else:
+            self._write_atomic(target, envelope)
+            counters["imported"] += 1
 
     def _install_target(self, envelope: Dict) -> Optional[Path]:
         """Verified install path for an imported envelope (``None`` = reject)."""

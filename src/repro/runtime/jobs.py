@@ -39,7 +39,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GraphError
 from repro.core.config import MSROPMConfig
 from repro.core.results import SolveResult
 from repro.graphs.graph import Graph
@@ -203,7 +203,10 @@ class DimacsGraphSpec(GraphSpec):
 
     def _text(self) -> str:
         if self._snapshot is None:
-            self._snapshot = Path(self.path).read_text(encoding="utf-8")
+            try:
+                self._snapshot = Path(self.path).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise _unreadable(self.path, exc) from exc
         return self._snapshot
 
     def build(self) -> Graph:
@@ -221,6 +224,10 @@ class DimacsGraphSpec(GraphSpec):
     @property
     def label(self) -> str:
         return Path(self.path).stem or "dimacs"
+
+
+def _unreadable(path: Union[str, Path], exc: OSError) -> GraphError:
+    return GraphError(f"cannot read graph file {path}: {exc.strerror or exc}")
 
 
 class ExplicitGraphSpec(GraphSpec):
@@ -253,9 +260,9 @@ class ExplicitGraphSpec(GraphSpec):
 def as_graph_spec(source: Union[GraphSpec, Graph, str, Path]) -> GraphSpec:
     """Coerce a graph, spec, or ``.col``/``.json`` path into a :class:`GraphSpec`.
 
-    Paths dispatch on their suffix like :func:`repro.graphs.io.read_graph`:
-    ``.json`` loads the label-preserving JSON codec (content-addressed via the
-    loaded graph), everything else is treated as DIMACS.
+    Paths dispatch on their suffix: ``.json`` loads the label-preserving JSON
+    codec (content-addressed via the loaded graph), everything else is treated
+    as DIMACS.  A path that cannot be read raises :class:`GraphError`.
     """
     if isinstance(source, GraphSpec):
         return source
@@ -266,7 +273,10 @@ def as_graph_spec(source: Union[GraphSpec, Graph, str, Path]) -> GraphSpec:
         if path.suffix.lower() == ".json":
             from repro.graphs.io import read_json
 
-            return ExplicitGraphSpec(read_json(path))
+            try:
+                return ExplicitGraphSpec(read_json(path))
+            except OSError as exc:
+                raise _unreadable(path, exc) from exc
         return DimacsGraphSpec(str(source))
     raise ConfigurationError(f"cannot build a graph spec from {type(source)!r}")
 

@@ -44,7 +44,7 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.obs.metrics import get_metrics

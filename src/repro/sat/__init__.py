@@ -4,7 +4,6 @@ from repro.sat.cnf import CNF, negate, variable_of
 from repro.sat.solver import DPLLSolver, SATResult, solve_cnf
 from repro.sat.coloring_sat import (
     ColoringEncodingSAT,
-    chromatic_number_sat,
     encode_coloring,
     sat_coloring,
 )
@@ -19,5 +18,4 @@ __all__ = [
     "ColoringEncodingSAT",
     "encode_coloring",
     "sat_coloring",
-    "chromatic_number_sat",
 ]

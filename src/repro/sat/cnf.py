@@ -12,8 +12,7 @@ Literals follow the DIMACS convention: variables are positive integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SATError
 

@@ -10,7 +10,7 @@ instances (grids, King's graphs) propagate almost entirely without search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import SATError
 from repro.graphs.coloring import Coloring
@@ -99,19 +99,3 @@ def sat_coloring(graph: Graph, num_colors: int, max_decisions: Optional[int] = N
     if not coloring.is_proper(graph):
         raise SATError("internal error: SAT model decodes to an improper coloring")
     return coloring
-
-
-def chromatic_number_sat(graph: Graph, max_colors: int = 8, max_decisions: Optional[int] = None) -> int:
-    """Return the chromatic number by solving K-coloring for K = 1, 2, ...
-
-    ``max_colors`` bounds the search; exceeding it raises (the graphs used in
-    this repository are all 4-colorable, so the default is generous).
-    """
-    if graph.num_nodes == 0:
-        return 0
-    if graph.num_edges == 0:
-        return 1
-    for num_colors in range(1, max_colors + 1):
-        if sat_coloring(graph, num_colors, max_decisions=max_decisions) is not None:
-            return num_colors
-    raise SATError(f"chromatic number exceeds the max_colors limit of {max_colors}")

@@ -19,8 +19,8 @@ general-purpose CDCL solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SATError
 from repro.sat.cnf import CNF, Literal, negate, variable_of

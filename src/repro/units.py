@@ -12,12 +12,9 @@ from __future__ import annotations
 # Prefix multipliers
 # ---------------------------------------------------------------------------
 GIGA = 1e9
-MEGA = 1e6
-KILO = 1e3
 MILLI = 1e-3
 MICRO = 1e-6
 NANO = 1e-9
-PICO = 1e-12
 FEMTO = 1e-15
 
 
@@ -26,24 +23,9 @@ def ns(value: float) -> float:
     return value * NANO
 
 
-def us(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return value * MICRO
-
-
-def ps(value: float) -> float:
-    """Convert picoseconds to seconds."""
-    return value * PICO
-
-
 def ghz(value: float) -> float:
     """Convert gigahertz to hertz."""
     return value * GIGA
-
-
-def mhz(value: float) -> float:
-    """Convert megahertz to hertz."""
-    return value * MEGA
 
 
 def mw(value: float) -> float:
@@ -61,35 +43,11 @@ def ff(value: float) -> float:
     return value * FEMTO
 
 
-def pf(value: float) -> float:
-    """Convert picofarads to farads."""
-    return value * PICO
-
-
 def ua(value: float) -> float:
     """Convert microamperes to amperes."""
     return value * MICRO
 
 
-def as_ns(seconds: float) -> float:
-    """Express a duration in nanoseconds."""
-    return seconds / NANO
-
-def as_us(seconds: float) -> float:
-    """Express a duration in microseconds."""
-    return seconds / MICRO
-
-
-def as_ghz(hertz: float) -> float:
-    """Express a frequency in gigahertz."""
-    return hertz / GIGA
-
-
 def as_mw(watts: float) -> float:
     """Express a power in milliwatts."""
     return watts / MILLI
-
-
-def as_uw(watts: float) -> float:
-    """Express a power in microwatts."""
-    return watts / MICRO

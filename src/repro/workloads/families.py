@@ -33,8 +33,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.exceptions import ColoringError
 from repro.graphs.generators import (
     erdos_renyi_graph,

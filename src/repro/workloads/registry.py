@@ -25,7 +25,7 @@ lazily on first lookup, so importing the runtime never drags in generators.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError

@@ -12,8 +12,9 @@ import pytest
 
 from repro.circuit.control import TimingPlan
 from repro.core.config import MSROPMConfig
-from repro.graphs.generators import cycle_graph, grid_graph, kings_graph
+from repro.graphs.generators import kings_graph
 from repro.units import ns
+from graph_builders import cycle_graph, grid_graph
 
 
 @pytest.fixture(autouse=True)

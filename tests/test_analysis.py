@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError
@@ -13,18 +12,13 @@ from repro.analysis import (
     ComparisonTable,
     IterationStatistics,
     LITERATURE_ROWS,
-    accuracy_percentiles,
     accuracy_range_text,
     accuracy_series_text,
     annealing_time_sweep,
     coupling_strength_sweep,
-    expected_best_of_n,
-    format_float,
     format_power_mw,
     format_search_space,
     format_table,
-    format_time_ns,
-    iterations_to_reach,
     shil_strength_sweep,
     sweep_configuration,
     text_histogram,
@@ -59,28 +53,6 @@ class TestStatistics:
         with pytest.raises(AnalysisError):
             time_to_solution(1.0, 0.5, target_confidence=1.5)
 
-    def test_accuracy_percentiles(self):
-        percentiles = accuracy_percentiles([0.9, 0.92, 0.95, 1.0], percentiles=(0, 50, 100))
-        assert percentiles[0.0] == 0.9
-        assert percentiles[100.0] == 1.0
-        with pytest.raises(AnalysisError):
-            accuracy_percentiles([])
-
-    def test_iterations_to_reach(self):
-        assert iterations_to_reach([0.9, 0.95, 1.0], 1.0) == 3
-        assert iterations_to_reach([0.9, 0.95], 1.0) is None
-
-    def test_expected_best_of_n(self):
-        accuracies = [0.9, 0.95, 1.0]
-        single = expected_best_of_n(accuracies, 1, seed=1)
-        many = expected_best_of_n(accuracies, 20, seed=1)
-        assert many >= single
-        with pytest.raises(AnalysisError):
-            expected_best_of_n(accuracies, 0)
-        with pytest.raises(AnalysisError):
-            expected_best_of_n([], 3)
-
-
 class TestReporting:
     def test_format_table_alignment(self):
         table = format_table(("name", "value"), [["a", 1], ["long-name", 22]], title="T")
@@ -96,10 +68,7 @@ class TestReporting:
             format_table(("a",), [[1, 2]])
 
     def test_format_helpers(self):
-        assert format_float(0.98765) == "0.988"
-        assert format_float(float("nan")) == "nan"
         assert format_power_mw(0.2834) == "283.4 mW"
-        assert format_time_ns(60e-9) == "60 ns"
         assert format_search_space(2116, 4) == "4^2116"
 
     def test_text_histogram(self):

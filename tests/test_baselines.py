@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ColoringError, ConfigurationError
@@ -19,14 +18,9 @@ from repro.baselines import (
     tabucol,
     TabuParameters,
 )
-from repro.graphs import (
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    hexagonal_graph,
-    kings_graph,
-)
+from repro.graphs import kings_graph
 from repro.ising import MaxCutProblem, kings_graph_reference_cut
+from graph_builders import complete_graph, cycle_graph, grid_graph
 
 
 class TestAnnealingSchedule:
@@ -153,7 +147,10 @@ class TestExactBaselines:
 class TestSingleStageROPM:
     def test_three_coloring_of_triangular_lattice(self, fast_config):
         """A 3-SHIL ROPM should 3-color a (3-chromatic) triangular lattice reasonably well."""
-        graph = hexagonal_graph(4, 4)
+        graph = grid_graph(4, 4)
+        for r in range(3):
+            for c in range(3):
+                graph.add_edge((r, c), (r + 1, c + 1))
         machine = SingleStageROPM(graph, num_colors=3, config=fast_config)
         result = machine.solve(iterations=4, seed=5)
         assert result.best_accuracy >= 0.8

@@ -276,6 +276,25 @@ class TestErrorExit:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "name, is_dir, reason",
+        [
+            ("missing.col", False, "No such file or directory"),
+            ("missing.json", False, "No such file or directory"),
+            ("boards", True, "Is a directory"),
+            ("boards.json", True, "Is a directory"),
+        ],
+    )
+    def test_unreadable_graph_path_is_one_error_line(self, name, is_dir, reason, capsys, tmp_path):
+        path = tmp_path / name
+        if is_dir:
+            path.mkdir()
+        argv = ["solve", "--graph", str(path), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"msropm: error: cannot read graph file {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
         "argv, line",
         [
             (["suite", "--scale", "0"], "scale must be in (0, 1], got 0.0"),

@@ -2,24 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ColoringError
-from repro.graphs import (
-    Coloring,
-    count_proper_edges,
-    cycle_graph,
-    dsatur_coloring,
-    greedy_coloring,
-    kings_graph,
-    kings_graph_reference_coloring,
-    complete_graph,
-    random_coloring,
-    welsh_powell_coloring,
-)
+from repro.graphs import Coloring, dsatur_coloring, kings_graph, kings_graph_reference_coloring
+from graph_builders import complete_graph, cycle_graph, random_coloring
 
 
 class TestColoring:
@@ -96,23 +85,7 @@ class TestColoring:
         with pytest.raises(ColoringError):
             coloring.relabeled({0: 1})
 
-    def test_count_proper_edges(self):
-        graph = cycle_graph(4)
-        coloring = Coloring.from_array(graph, [0, 1, 0, 0], 2)
-        # Edges (0,1) and (1,2) are properly colored; (2,3) and (3,0) are monochromatic.
-        assert count_proper_edges(graph, coloring) == 2
-
-
 class TestHeuristics:
-    def test_greedy_is_proper(self):
-        graph = kings_graph(5, 5)
-        coloring = greedy_coloring(graph)
-        assert coloring.is_proper(graph)
-
-    def test_welsh_powell_is_proper(self):
-        graph = kings_graph(5, 5)
-        assert welsh_powell_coloring(graph).is_proper(graph)
-
     def test_dsatur_is_proper_and_tight_on_kings(self):
         graph = kings_graph(6, 6)
         coloring = dsatur_coloring(graph)
@@ -124,22 +97,6 @@ class TestHeuristics:
         coloring = dsatur_coloring(graph)
         assert coloring.is_proper(graph)
         assert len(coloring.used_colors()) == 5
-
-    def test_greedy_respects_requested_palette_floor(self):
-        graph = cycle_graph(4)
-        coloring = greedy_coloring(graph, num_colors=6)
-        assert coloring.num_colors == 6
-
-    def test_random_coloring_range(self):
-        graph = kings_graph(4, 4)
-        coloring = random_coloring(graph, 4, seed=3)
-        assert coloring.covers(graph)
-        assert coloring.used_colors() <= {0, 1, 2, 3}
-
-    def test_random_coloring_invalid_colors(self):
-        with pytest.raises(ColoringError):
-            random_coloring(cycle_graph(3), 0)
-
 
 class TestKingsReference:
     @pytest.mark.parametrize("rows,cols", [(2, 2), (5, 5), (7, 7), (6, 9)])
@@ -166,6 +123,16 @@ class TestColoringProperties:
         coloring = random_coloring(graph, 4, seed=seed)
         accuracy = coloring.accuracy(graph)
         assert 0.0 <= accuracy <= 1.0
+
+    @given(side=st.integers(min_value=2, max_value=6), seed=st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=25, deadline=None)
+    def test_accuracy_is_one_minus_normalized_potts_energy(self, side, seed):
+        """The paper's accuracy (Sec. 4) is 1 - H_Potts / |E| with unit couplings
+        (Eq. 3): the energy counts the monochromatic edges."""
+        graph = kings_graph(side, side)
+        coloring = random_coloring(graph, 4, seed=seed)
+        energy = sum(1 for u, v in graph.edges() if coloring.color_of(u) == coloring.color_of(v))
+        assert coloring.accuracy(graph) == pytest.approx(1.0 - energy / graph.num_edges)
 
     @given(side=st.integers(min_value=2, max_value=5))
     @settings(max_examples=10, deadline=None)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SATError
-from repro.graphs import complete_graph, cycle_graph, grid_graph, kings_graph, path_graph
-from repro.sat import chromatic_number_sat, encode_coloring, sat_coloring, solve_cnf
+from repro.graphs import kings_graph
+from repro.sat import encode_coloring, sat_coloring, solve_cnf
+from graph_builders import complete_graph, cycle_graph
 
 
 class TestEncoding:
@@ -66,29 +67,3 @@ class TestSatColoring:
     def test_complete_graph_needs_n_colors(self):
         assert sat_coloring(complete_graph(4), 3) is None
         assert sat_coloring(complete_graph(4), 4) is not None
-
-
-class TestChromaticNumber:
-    @pytest.mark.parametrize(
-        "graph,expected",
-        [
-            (path_graph(5), 2),
-            (cycle_graph(6), 2),
-            (cycle_graph(5), 3),
-            (grid_graph(3, 3), 2),
-            (kings_graph(3, 3), 4),
-            (complete_graph(5), 5),
-        ],
-    )
-    def test_known_chromatic_numbers(self, graph, expected):
-        assert chromatic_number_sat(graph) == expected
-
-    def test_edgeless_graph(self):
-        from repro.graphs import Graph
-
-        assert chromatic_number_sat(Graph(nodes=[1, 2, 3])) == 1
-        assert chromatic_number_sat(Graph()) == 0
-
-    def test_max_colors_exceeded(self):
-        with pytest.raises(SATError):
-            chromatic_number_sat(complete_graph(5), max_colors=3)

@@ -16,19 +16,13 @@ from repro.core import (
     binarize_against_offsets,
     group_offsets,
     identity_mapping,
-    map_to_kings_fabric,
     partition_coupling_matrix,
-    solve_coloring,
 )
-from repro.graphs import (
-    Graph,
-    cycle_graph,
-    grid_graph,
-    kings_graph,
-)
+from repro.graphs import Graph, kings_graph
 from repro.ising import kings_graph_reference_cut
 from repro.rng import make_rng
 from repro.units import ns
+from graph_builders import cycle_graph, grid_graph
 
 
 class TestStageHelpers:
@@ -115,22 +109,6 @@ class TestMapping:
         assert len(mapping.enabled_couplings()) == graph.num_edges
         assert mapping.disabled_couplings() == []
 
-    def test_kings_fabric_mapping_with_spare_capacity(self):
-        problem = kings_graph(3, 3)
-        mapping = map_to_kings_fabric(problem, rows=5, cols=5)
-        assert mapping.utilization == pytest.approx(9 / 25)
-        assert len(mapping.disabled_couplings()) > 0
-        assert mapping.oscillator_of((1, 1)) == (1, 1)
-
-    def test_mapping_rejects_oversized_problem(self):
-        with pytest.raises(MappingError):
-            map_to_kings_fabric(kings_graph(5, 5), rows=3, cols=3)
-
-    def test_mapping_rejects_unrealizable_edges(self):
-        problem = Graph(edges=[((0, 0), (0, 3))])  # not a fabric edge
-        with pytest.raises(MappingError):
-            map_to_kings_fabric(problem, rows=4, cols=4)
-
     def test_mapping_validation(self):
         graph = kings_graph(2, 2)
         with pytest.raises(MappingError):
@@ -199,11 +177,6 @@ class TestMachine:
         machine = MSROPM(kings_graph(3, 3), fast_config)
         with pytest.raises(ConfigurationError):
             machine.solve(iterations=0)
-
-    def test_solve_coloring_convenience(self, fast_config):
-        result = solve_coloring(kings_graph(4, 4), num_colors=4, iterations=2, seed=1, config=fast_config)
-        assert result.num_iterations == 2
-        assert result.num_colors == 4
 
     def test_two_color_machine_on_bipartite_graph(self, fast_binary_config):
         """A single-stage (2-color) machine should 2-color a grid almost perfectly."""

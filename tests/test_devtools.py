@@ -499,8 +499,8 @@ def _write_tree(root: Path, files: dict) -> Path:
     return root
 
 
-def _dead_code(root: Path, allowlist=None):
-    checker = DeadCodeChecker(allowlist=allowlist or {})
+def _dead_code(root: Path, allowlist=None, symbol_allowlist=None):
+    checker = DeadCodeChecker(allowlist=allowlist or {}, symbol_allowlist=symbol_allowlist or {})
     return checker.check_project(root, LintConfig(root=root))
 
 
@@ -511,7 +511,10 @@ def _flagged_paths(findings):
 
 _TREE = {
     "src/repro/__init__.py": "",
-    "src/repro/cli.py": "from repro.core import solve\n\ndef main():\n    return solve()\n",
+    "src/repro/cli.py": (
+        "from repro.core import solve\n\ndef main():\n    return solve()\n\n"
+        "if __name__ == '__main__':\n    main()\n"
+    ),
     "src/repro/core/__init__.py": (
         "from repro.core.machine import solve\nfrom repro.core.legacy import old\n"
     ),
@@ -632,7 +635,7 @@ class TestDeadCodeChecker:
     def test_submodule_named_in_from_import_is_reached(self, tmp_path):
         root = _write_tree(
             tmp_path,
-            {**_TREE, "src/repro/cli.py": "from repro.core import legacy, solve\n"},
+            {**_TREE, "src/repro/cli.py": "from repro.core import legacy, solve\n\nlegacy.old()\n"},
         )
         assert "src/repro/core/legacy.py" not in _flagged_paths(_dead_code(root))
 
@@ -679,6 +682,220 @@ class TestDeadCodeChecker:
 
     def test_repo_has_no_dead_modules(self):
         assert run_lint(REPO_ROOT, rules=["dead-code"]) == []
+
+
+_SYMBOL_TREE = {
+    "src/repro/__init__.py": (
+        "from repro.api import public\nfrom repro.api import unlisted\n\n__all__ = ['public']\n"
+    ),
+    "src/repro/api.py": (
+        "def public():\n    return 1\n\n\n"
+        "def unlisted():\n    return 2\n"
+    ),
+    "src/repro/cli.py": (
+        "from repro.core import solve\n\n\n"
+        "def main():\n    return solve()\n\n\n"
+        "if __name__ == '__main__':\n    main()\n"
+    ),
+    "src/repro/core/__init__.py": "from repro.core.machine import solve, spare\n",
+    "src/repro/core/machine.py": (
+        "import repro.core.tools\n\n\n"
+        "def solve():\n    return _step()\n\n\n"
+        "def _step():\n    return 0\n\n\n"
+        "def spare():\n    return _only_spare()\n\n\n"
+        "def _only_spare():\n    return spare()\n\n\n"
+        "class Traced:\n    def run(self):\n        return 3\n"
+    ),
+    "src/repro/core/tools.py": "def shown():\n    return 4\n\n\ndef helper():\n    return 5\n",
+    "src/repro/orphan.py": "from repro.core.tools import helper\n\nhelper()\n",
+}
+
+
+def _flagged_symbols(findings):
+    assert set(rules_of(findings)) <= {"dead-code"}
+    return sorted(
+        finding.message.split("'")[1]
+        for finding in findings
+        if finding.message.startswith(("function ", "class "))
+    )
+
+
+def _repro_packages():
+    import pkgutil
+
+    import repro
+
+    return ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+
+
+class TestDeadCodeSymbols:
+    def test_unnamed_functions_are_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        flagged = _flagged_symbols(_dead_code(root))
+        # Named only by a package ``__init__`` re-export, by its own body or by
+        # a dead sibling: each is dead.
+        assert "repro.core.machine.spare" in flagged
+        assert "repro.core.machine._only_spare" in flagged
+        assert "repro.api.unlisted" in flagged
+        # Named by a reached caller (through the package) or by module-level code.
+        assert "repro.core.machine.solve" not in flagged
+        assert "repro.core.machine._step" not in flagged
+        assert "repro.cli.main" not in flagged
+
+    @pytest.mark.parametrize(
+        "cli, lib, flagged",
+        [
+            pytest.param(
+                "", "import functools\n\n@functools.lru_cache\ndef cached():\n    return 1\n",
+                ["cached"], id="a-decorator-is-not-a-use",
+            ),
+            pytest.param("", "async def fetch():\n    return 1\n", ["fetch"], id="async-def"),
+            pytest.param(
+                "def main(spec: repro.lib.Spec) -> None:\n    pass\n\nmain(None)\n",
+                "class Spec:\n    pass\n", [], id="an-annotation-is-a-use",
+            ),
+            pytest.param(
+                "def main(spec: 'Spec') -> None:\n    pass\n\nmain(None)\n",
+                "class Spec:\n    pass\n", ["Spec"], id="a-string-annotation-is-not",
+            ),
+            pytest.param(
+                "", "def one():\n    return 1\n\nREGISTRY = {'one': one}\n", [],
+                id="own-module-level-registry",
+            ),
+            pytest.param(
+                "", "def loop(n):\n    return loop(n - 1) if n else 0\n", ["loop"],
+                id="recursion-is-not-a-use",
+            ),
+            pytest.param(
+                "repro.lib.Box().get()\n",
+                "def helper():\n    return 1\n\n\nclass Box:\n    def get(self):\n"
+                "        return helper()\n",
+                [], id="method-of-a-live-class",
+            ),
+            pytest.param(
+                "",
+                "def helper():\n    return 1\n\n\nclass Box:\n    def get(self):\n"
+                "        return helper()\n",
+                ["Box", "helper"], id="method-of-a-dead-class",
+            ),
+            pytest.param(
+                "from repro.lib import helper as aid\n\naid()\n",
+                "def helper():\n    return 1\n", [], id="import-alias",
+            ),
+            pytest.param(
+                "def run():\n    return 2\n\nrun()\n", "def run():\n    return 1\n", [],
+                id="names-match-by-spelling",
+            ),
+            pytest.param(
+                "TARGET = 'repro.lib.helper'\n", "def helper():\n    return 1\n", ["helper"],
+                id="a-dotted-string-outside-perfbench-is-not",
+            ),
+            pytest.param("", "def _private():\n    return 1\n", ["_private"], id="private-names"),
+        ],
+    )
+    def test_what_counts_as_naming_a_symbol(self, tmp_path, cli, lib, flagged):
+        root = _write_tree(
+            tmp_path,
+            {
+                "src/repro/__init__.py": "",
+                "src/repro/cli.py": "import repro.lib\n" + cli,
+                "src/repro/lib.py": lib,
+            },
+        )
+        symbols = _flagged_symbols(_dead_code(root))
+        assert [name for name in symbols if name.startswith("repro.lib.")] == [
+            f"repro.lib.{name}" for name in flagged
+        ]
+
+    def test_function_named_only_by_an_unreached_module_is_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        findings = _dead_code(root)
+        assert "src/repro/orphan.py" in _flagged_paths(findings)
+        assert "repro.core.tools.helper" in _flagged_symbols(findings)
+
+    def test_public_api_is_a_root(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        assert "repro.api.public" not in _flagged_symbols(_dead_code(root))
+
+    def test_perfbench_plan_strings_and_example_imports_keep_symbols(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        before = _flagged_symbols(_dead_code(root))
+        assert {"repro.core.machine.Traced", "repro.core.tools.shown"} <= set(before)
+        _write_tree(
+            tmp_path,
+            {
+                "perfbench/layers.py": (
+                    'PLAN = (("repro.core.machine", "Traced.run", "core.run", "core", {}),)\n'
+                ),
+                "examples/demo.py": "from repro.core.tools import shown\n\nshown()\n",
+            },
+        )
+        after = _flagged_symbols(_dead_code(root))
+        assert sorted(set(before) - set(after)) == [
+            "repro.core.machine.Traced",
+            "repro.core.tools.shown",
+        ]
+
+    def test_symbols_of_an_allowlisted_module_are_kept(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        findings = _dead_code(root, allowlist={"repro.orphan": "kept for a paper figure"})
+        assert "src/repro/orphan.py" not in _flagged_paths(findings)
+        assert "repro.core.tools.helper" not in _flagged_symbols(findings)
+
+    def test_symbol_allowlist_keeps_and_stale_entries_are_flagged(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        findings = _dead_code(
+            root,
+            symbol_allowlist={
+                "repro.core.machine.spare": "reference the tests compare against",
+                "repro.core.machine.solve": "reached by the CLI anyway",
+                "repro.core.machine.gone": "deleted long ago",
+                "repro.api.unlisted": "",
+            },
+        )
+        allowlist_path = "src/repro/devtools/checkers/dead_code.py"
+        assert [f.message for f in findings if f.path == allowlist_path] == [
+            "symbol allowlist entry 'repro.api.unlisted' gives no reason",
+            "symbol allowlist entry 'repro.core.machine.gone' names no top-level "
+            "function or class of a reached module",
+            "symbol allowlist entry 'repro.core.machine.solve' names a symbol the "
+            "entry points already reach",
+        ]
+        flagged = _flagged_symbols(findings)
+        # An allowlisted symbol keeps what its body names.
+        assert "repro.core.machine.spare" not in flagged
+        assert "repro.core.machine._only_spare" not in flagged
+
+    def test_symbol_finding_names_the_symbol_and_its_line(self, tmp_path):
+        root = _write_tree(tmp_path, _SYMBOL_TREE)
+        finding = next(
+            f for f in _dead_code(root) if "'repro.core.machine.Traced'" in f.message
+        )
+        assert finding.path == "src/repro/core/machine.py"
+        assert finding.line == 20
+        assert finding.message == (
+            "class 'repro.core.machine.Traced' is not reachable from any entry point"
+        )
+        assert "SYMBOL_ALLOWLIST" in finding.hint
+
+    @pytest.mark.parametrize("package", _repro_packages())
+    def test_every_package_all_resolves(self, package):
+        """Each ``repro.*`` package exports exactly names it can resolve."""
+        import importlib
+
+        module = importlib.import_module(package)
+        exported = getattr(module, "__all__", [])
+        assert len(exported) == len(set(exported))
+        assert [name for name in exported if not hasattr(module, name)] == []
+
+    def test_public_api_root_is_repro_all(self):
+        """The checker's public-API root is exactly ``repro.__all__``."""
+        import repro
+        from repro.devtools.checkers.dead_code import _public_api, _scan_modules
+
+        assert _public_api(_scan_modules(REPO_ROOT)) == list(repro.__all__)
 
 
 # ----------------------------------------------------------------------

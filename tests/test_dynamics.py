@@ -4,21 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.circuit import paper_rosc
 from repro.dynamics import (
     AnnealingPolicy,
     BatchedOscillatorModel,
     BlockDiagonalCoupling,
     CoupledOscillatorModel,
     SharedCoupling,
-    PhaseNoiseModel,
     Trajectory,
     constant_ramp,
-    exponential_settle,
     integrate_euler_maruyama,
     integrate_rk4,
     integrate_scipy,
@@ -26,10 +24,14 @@ from repro.dynamics import (
     perturbed_phases,
     random_initial_phases,
     smooth_ramp,
-    uniform_coupling_matrix,
 )
-from repro.graphs import cycle_graph, kings_graph
+from repro.graphs import kings_graph
 from repro.rng import ReplicaRNG, make_rng
+
+
+def uniform_coupling_matrix(adjacency, rate):
+    """Scale a 0/1 adjacency matrix into a uniform coupling-rate matrix."""
+    return sparse.csr_matrix(adjacency, dtype=float) * rate
 
 
 def two_oscillator_model(rate=1e9, shil_strength=0.0, shil_offset=0.0, order=2):
@@ -202,8 +204,6 @@ class TestCoupledOscillatorModel:
         model = two_oscillator_model()
         with pytest.raises(SimulationError):
             model(0.0, np.zeros(3))
-        with pytest.raises(SimulationError):
-            uniform_coupling_matrix(np.eye(2), -1.0)
 
 
 class TestBatchedDynamics:
@@ -331,19 +331,6 @@ class TestBatchedDynamics:
 
 
 class TestNoise:
-    def test_diffusion_from_oscillator(self):
-        model = PhaseNoiseModel.from_oscillator(paper_rosc(), jitter_fraction=0.01)
-        assert model.diffusion > 0
-
-    def test_phase_std_grows_with_sqrt_time(self):
-        model = PhaseNoiseModel(diffusion=1e6)
-        assert model.phase_std_after(4e-9) == pytest.approx(2 * model.phase_std_after(1e-9))
-
-    def test_sample_walk_statistics(self):
-        model = PhaseNoiseModel(diffusion=1e7)
-        samples = model.sample_walk(20000, 10e-9, seed=1)
-        assert np.std(samples) == pytest.approx(model.phase_std_after(10e-9), rel=0.05)
-
     def test_random_initial_phases_uniform(self):
         phases = random_initial_phases(10000, seed=2)
         assert 0 <= phases.min() and phases.max() < 2 * np.pi
@@ -355,8 +342,6 @@ class TestNoise:
         assert np.all(np.abs(perturbed) <= 0.3)
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
-            PhaseNoiseModel(diffusion=-1.0)
         with pytest.raises(SimulationError):
             perturbed_phases(np.zeros(3), amplitude=-0.1)
         with pytest.raises(SimulationError):
@@ -383,11 +368,6 @@ class TestSchedules:
         assert values[0] == pytest.approx(0.0)
         assert values[-1] == pytest.approx(1.0)
 
-    def test_exponential_settle(self):
-        ramp = exponential_settle(1e-9, start=0.0, end=1.0)
-        assert ramp(0.0) == 0.0
-        assert ramp(5e-9) == pytest.approx(1.0, abs=1e-2)
-
     def test_annealing_policy_ramps(self):
         policy = AnnealingPolicy(shil_ramp_fraction=0.5, coupling_soft_start_fraction=0.1)
         shil = policy.shil_ramp(10e-9, 4e-9)
@@ -407,8 +387,6 @@ class TestSchedules:
             linear_ramp(0.0)
         with pytest.raises(SimulationError):
             smooth_ramp(1e-9, start=-0.1)
-        with pytest.raises(SimulationError):
-            exponential_settle(0.0)
         with pytest.raises(SimulationError):
             constant_ramp(-1.0)
         with pytest.raises(SimulationError):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -12,7 +11,6 @@ from repro.experiments import (
     PAPER_ITERATIONS,
     TABLE1_SIZES,
     default_config,
-    paper_problem,
     power_scaling_series,
     render_figure3,
     render_figure5,
@@ -27,12 +25,13 @@ from repro.experiments import (
     scaled_problem,
 )
 from repro.experiments.fig5_accuracy import Figure5Result
+from repro.experiments.problems import scaled_spec
 
 
 class TestProblems:
     def test_paper_problem_sizes(self):
         for size in TABLE1_SIZES:
-            problem = paper_problem(size)
+            problem = scaled_problem(size, scale=1.0)
             assert problem.graph.num_nodes == size
             assert problem.name == f"{size}-node"
 
@@ -46,13 +45,22 @@ class TestProblems:
         assert scaled.graph.num_nodes >= 16
         assert scaled_problem(49, scale=1.0).graph.num_nodes == 49
 
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 0.1])
+    @pytest.mark.parametrize("size", TABLE1_SIZES)
+    def test_scaled_spec_is_the_problem_spec(self, size, scale):
+        """Planners schedule by ``scaled_spec`` without building the graph; it
+        must be the spec of the problem the graph-building path solves."""
+        problem = scaled_problem(size, scale=scale)
+        assert scaled_spec(size, scale) == problem.spec
+        assert problem.spec.build().num_nodes == problem.graph.num_nodes == problem.num_nodes
+
     def test_scaled_iterations(self):
         assert scaled_iterations(1.0) == 40
         assert scaled_iterations(0.1) == 5
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            paper_problem(123)
+            scaled_problem(123)
         with pytest.raises(ConfigurationError):
             scaled_problem(49, scale=0.0)
         with pytest.raises(ConfigurationError):

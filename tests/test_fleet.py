@@ -779,6 +779,53 @@ class TestFleetCLI:
         assert "1 imported" in capsys.readouterr().out
         assert ResultCache(other_dir).load(job) == {"sum": 8}
 
+    @pytest.mark.parametrize("fraction", [0.2, 0.4, 0.5, 0.8, 0.95])
+    def test_cache_cli_import_truncated_bundle_keeps_verified_entries(
+        self, fraction, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "cache"
+        store = ResultCache(cache_dir)
+        for i in range(25):
+            job = AddJob(i, 7)
+            store.store(job, job.execute())
+        bundle = tmp_path / "bundle.tar.gz"
+        assert main(["cache", "export", str(bundle), "--cache-dir", str(cache_dir)]) == 0
+        truncated = tmp_path / "truncated.tar.gz"
+        data = bundle.read_bytes()
+        truncated.write_bytes(data[: int(len(data) * fraction)])
+        capsys.readouterr()
+
+        other_dir = tmp_path / "other"
+        assert main(["cache", "import", str(truncated), "--cache-dir", str(other_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"msropm: error: cache import from {truncated} failed after "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        installed = int(captured.err[len(prefix):].split()[0])
+        assert 0 <= installed <= 25
+        assert main(["cache", "verify", "--cache-dir", str(other_dir)]) == 0
+        assert f"cache verify: {installed} ok, 0 stale, 0 corrupt" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "junk", "directory"])
+    def test_cache_cli_import_unreadable_bundle_is_one_error_line(self, kind, tmp_path, capsys):
+        from repro.cli import main
+
+        bundle = tmp_path / "bundle.tar.gz"
+        if kind == "junk":
+            bundle.write_bytes(b"not a tar archive\n" * 8)
+        elif kind == "directory":
+            bundle.mkdir()
+        argv = ["cache", "import", str(bundle), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"msropm: error: cache import from {bundle} failed after 0 installed entries: "
+        )
+        assert captured.err.count("\n") == 1
+
     def test_scenarios_output_byte_identical_local_vs_spool(self, tmp_path, capsys):
         from repro.cli import main
 

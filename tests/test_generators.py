@@ -8,21 +8,13 @@ from repro.exceptions import GraphError
 from repro.graphs import (
     PAPER_PROBLEM_SIDES,
     PAPER_PROBLEM_SIZES,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     erdos_renyi_graph,
-    grid_graph,
-    hexagonal_graph,
     kings_graph,
-    kings_graph_with_inactive_edges,
-    paper_kings_graph,
-    path_graph,
     random_planar_triangulation,
     random_regular_like_graph,
-    star_graph,
     is_kings_graph_shape,
 )
+from graph_builders import grid_graph
 
 
 class TestKingsGraph:
@@ -61,69 +53,11 @@ class TestKingsGraph:
     @pytest.mark.parametrize("num_nodes", PAPER_PROBLEM_SIZES)
     def test_paper_sizes(self, num_nodes):
         side = PAPER_PROBLEM_SIDES[num_nodes]
-        graph = paper_kings_graph(num_nodes)
+        graph = kings_graph(side, side)
         assert graph.num_nodes == num_nodes
         assert graph.num_nodes == side * side
 
-    def test_paper_kings_graph_other_square(self):
-        assert paper_kings_graph(81).num_nodes == 81
-
-    def test_paper_kings_graph_rejects_non_square(self):
-        with pytest.raises(GraphError):
-            paper_kings_graph(50)
-
-    def test_inactive_edges_fraction(self):
-        full = kings_graph(6, 6)
-        sparse = kings_graph_with_inactive_edges(6, 6, active_fraction=0.5, seed=1)
-        assert sparse.num_nodes == full.num_nodes
-        assert 0 < sparse.num_edges < full.num_edges
-
-    def test_inactive_edges_full_fraction_identical(self):
-        assert kings_graph_with_inactive_edges(4, 4, active_fraction=1.0).num_edges == kings_graph(4, 4).num_edges
-
-    def test_inactive_edges_invalid_fraction(self):
-        with pytest.raises(GraphError):
-            kings_graph_with_inactive_edges(4, 4, active_fraction=1.5)
-
-
 class TestOtherGenerators:
-    def test_grid(self):
-        graph = grid_graph(3, 4)
-        assert graph.num_nodes == 12
-        assert graph.num_edges == 3 * 3 + 2 * 4
-        assert graph.degree((1, 1)) == 4
-
-    def test_hexagonal_max_degree_six(self):
-        graph = hexagonal_graph(5, 5)
-        assert max(graph.degrees().values()) <= 6
-        assert graph.num_edges > grid_graph(5, 5).num_edges
-
-    def test_cycle(self):
-        graph = cycle_graph(6)
-        assert graph.num_edges == 6
-        assert all(degree == 2 for degree in graph.degrees().values())
-
-    def test_tiny_cycles(self):
-        assert cycle_graph(1).num_edges == 0
-        assert cycle_graph(2).num_edges == 1
-
-    def test_path(self):
-        graph = path_graph(5)
-        assert graph.num_edges == 4
-
-    def test_complete(self):
-        graph = complete_graph(5)
-        assert graph.num_edges == 10
-
-    def test_star(self):
-        graph = star_graph(4)
-        assert graph.num_nodes == 5
-        assert graph.degree(0) == 4
-
-    def test_complete_bipartite(self):
-        graph = complete_bipartite_graph(2, 3)
-        assert graph.num_edges == 6
-
     def test_erdos_renyi_bounds(self):
         empty = erdos_renyi_graph(10, 0.0, seed=1)
         full = erdos_renyi_graph(10, 1.0, seed=1)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs import (
-    Coloring,
     from_dimacs,
     from_json,
     kings_graph,
@@ -15,9 +14,7 @@ from repro.graphs import (
     to_dimacs,
     to_json,
     write_dimacs,
-    write_json,
 )
-from repro.graphs.io import coloring_from_json, coloring_to_json, edge_list
 
 
 class TestDimacs:
@@ -115,17 +112,5 @@ class TestJson:
     def test_file_round_trip(self, tmp_path):
         graph = kings_graph(2, 5)
         path = tmp_path / "graph.json"
-        write_json(graph, path)
+        path.write_text(to_json(graph), encoding="utf-8")
         assert read_json(path).num_nodes == 10
-
-    def test_coloring_round_trip(self):
-        graph = kings_graph(3, 3)
-        coloring = Coloring.from_array(graph, [i % 4 for i in range(9)], 4)
-        back = coloring_from_json(graph, coloring_to_json(graph, coloring))
-        assert back.assignment == coloring.assignment
-
-    def test_edge_list_indices(self):
-        graph = kings_graph(2, 2)
-        pairs = edge_list(graph)
-        assert len(pairs) == graph.num_edges
-        assert all(0 <= i < 4 and 0 <= j < 4 for i, j in pairs)

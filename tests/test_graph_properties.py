@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.exceptions import GraphError
 from repro.graphs import (
     chromatic_number_bounds,
-    complete_graph,
-    cycle_graph,
     degree_statistics,
     greedy_chromatic_upper_bound,
-    grid_graph,
     is_bipartite,
     kings_graph,
     max_clique_lower_bound,
-    search_space_log10,
-    search_space_size,
     two_coloring,
     Graph,
 )
+from graph_builders import complete_graph, cycle_graph, grid_graph
 
 
 class TestDegreeStatistics:
@@ -75,22 +68,3 @@ class TestCliqueAndChromatic:
 
     def test_bounds_empty(self):
         assert chromatic_number_bounds(Graph()) == (0, 0)
-
-
-class TestSearchSpace:
-    def test_exact_value(self):
-        assert search_space_size(49, 4) == 4 ** 49
-
-    def test_table1_magnitudes(self):
-        # Table 1 lists search spaces 4^49, 4^400, 4^1024, 4^2116.
-        assert search_space_log10(2116, 4) == pytest.approx(2116 * 0.60206, rel=1e-4)
-
-    def test_zero_nodes(self):
-        assert search_space_size(0, 4) == 1
-        assert search_space_log10(0, 4) == 0.0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(GraphError):
-            search_space_size(-1, 4)
-        with pytest.raises(GraphError):
-            search_space_log10(5, 0)

@@ -1,21 +1,14 @@
-"""Tests for the Ising and Potts model layers (Eqs. 1 and 3)."""
+"""Tests for the Ising model layer (Eq. 1)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
-from repro.graphs import Coloring, cycle_graph, kings_graph, kings_graph_reference_coloring
-from repro.ising import (
-    IsingProblem,
-    PottsProblem,
-    labels_to_spins,
-    potts_accuracy,
-    spins_to_labels,
-)
+from repro.graphs import kings_graph
+from repro.ising import IsingProblem, spins_to_labels
+from graph_builders import cycle_graph
 
 
 class TestIsingProblem:
@@ -95,79 +88,7 @@ class TestIsingProblem:
         spins = {1: 1, 2: -1}
         labels = spins_to_labels(spins)
         assert labels == {1: 0, 2: 1}
-        assert labels_to_spins(labels) == spins
 
     def test_label_spin_validation(self):
         with pytest.raises(ReproError):
             spins_to_labels({1: 2})
-        with pytest.raises(ReproError):
-            labels_to_spins({1: 3})
-
-
-class TestPottsProblem:
-    def test_energy_counts_monochromatic_edges(self):
-        graph = cycle_graph(3)
-        problem = PottsProblem.coloring_problem(graph, num_colors=3)
-        all_same = {0: 0, 1: 0, 2: 0}
-        all_diff = {0: 0, 1: 1, 2: 2}
-        assert problem.energy(all_same) == pytest.approx(3.0)
-        assert problem.energy(all_diff) == pytest.approx(0.0)
-
-    def test_ground_state_energy_is_zero_for_coloring(self):
-        problem = PottsProblem.coloring_problem(kings_graph(4, 4), num_colors=4)
-        assert problem.ground_state_energy() == 0.0
-
-    def test_ground_state_unknown_for_negative_couplings(self):
-        problem = PottsProblem(graph=cycle_graph(3), num_states=3, default_coupling=-1.0)
-        with pytest.raises(ReproError):
-            problem.ground_state_energy()
-
-    def test_reference_coloring_is_ground_state(self):
-        graph = kings_graph(5, 5)
-        problem = PottsProblem.coloring_problem(graph, num_colors=4)
-        coloring = kings_graph_reference_coloring(5, 5)
-        assert problem.energy_of_coloring(coloring) == 0.0
-
-    def test_energy_of_coloring_palette_check(self):
-        problem = PottsProblem.coloring_problem(cycle_graph(3), num_colors=2)
-        coloring = Coloring(assignment={0: 0, 1: 1, 2: 2}, num_colors=3)
-        with pytest.raises(ReproError):
-            problem.energy_of_coloring(coloring)
-
-    def test_spin_validation(self):
-        problem = PottsProblem.coloring_problem(cycle_graph(3), num_colors=3)
-        with pytest.raises(ReproError):
-            problem.energy({0: 0, 1: 1, 2: 5})
-        with pytest.raises(ReproError):
-            problem.energy({0: 0, 1: 1})
-
-    def test_num_states_validation(self):
-        with pytest.raises(ReproError):
-            PottsProblem(graph=cycle_graph(3), num_states=1)
-
-    def test_random_spins_in_range(self):
-        problem = PottsProblem.coloring_problem(kings_graph(4, 4), num_colors=4)
-        spins = problem.random_spins(seed=7)
-        assert all(0 <= value < 4 for value in spins.values())
-
-    def test_to_coloring(self):
-        problem = PottsProblem.coloring_problem(cycle_graph(4), num_colors=2)
-        coloring = problem.to_coloring({0: 0, 1: 1, 2: 0, 3: 1})
-        assert coloring.is_proper(cycle_graph(4))
-
-    def test_potts_accuracy_matches_paper_metric(self):
-        graph = kings_graph(4, 4)
-        problem = PottsProblem.coloring_problem(graph, num_colors=4)
-        reference = kings_graph_reference_coloring(4, 4)
-        assert potts_accuracy(problem, reference.assignment) == 1.0
-
-    @given(seed=st.integers(min_value=0, max_value=500))
-    @settings(max_examples=25, deadline=None)
-    def test_accuracy_equals_one_minus_normalized_energy(self, seed):
-        """The paper's accuracy metric is the normalized Hamiltonian (Sec. 4)."""
-        graph = kings_graph(4, 4)
-        problem = PottsProblem.coloring_problem(graph, num_colors=4)
-        spins = problem.random_spins(seed=seed)
-        accuracy = potts_accuracy(problem, spins)
-        energy = problem.energy(spins)
-        assert accuracy == pytest.approx(1.0 - energy / graph.num_edges)

@@ -5,24 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ReproError
-from repro.graphs import (
-    Bipartition,
-    complete_bipartite_graph,
-    cycle_graph,
-    kings_graph,
-)
-from repro.ising import (
-    MaxCutProblem,
-    cut_from_ising_energy,
-    greedy_local_improvement,
-    kings_graph_reference_cut,
-    random_partition,
-)
+from repro.graphs import Bipartition, Graph, kings_graph
+from repro.ising import MaxCutProblem, kings_graph_reference_cut
+from graph_builders import balanced_halves, cycle_graph
 
 
 class TestMaxCut:
     def test_cut_value_bipartite_optimum(self):
-        graph = complete_bipartite_graph(3, 3)
+        graph = Graph(edges=[(("L", i), ("R", j)) for i in range(3) for j in range(3)])
         problem = MaxCutProblem(graph)
         partition = Bipartition.from_sets([("L", i) for i in range(3)], [("R", i) for i in range(3)])
         assert problem.cut_value(partition) == 9
@@ -49,12 +39,11 @@ class TestMaxCut:
         graph = kings_graph(3, 3)
         problem = MaxCutProblem(graph)
         ising = problem.to_ising(strength=1.0)
-        partition = random_partition(graph, seed=3)
+        partition = balanced_halves(graph)
         spins = {node: 1 if partition.side_of(node) == 0 else -1 for node in graph.nodes}
         energy = ising.energy(spins)
         cut = problem.cut_value(partition)
         assert energy == pytest.approx(problem.total_weight() - 2 * cut)
-        assert cut_from_ising_energy(problem, energy) == pytest.approx(cut)
 
     def test_accuracy_reports_raw_ratio_beyond_reference(self):
         # A cut that beats a heuristic reference must be visible as > 1.0;
@@ -81,17 +70,6 @@ class TestMaxCut:
         with pytest.warns(UserWarning, match="better-than-reference"):
             assert accuracy_range_text(0.9, 1.1) == "90%-100%"
         assert accuracy_range_text(0.5, 1.0) == "50%-100%"
-
-    def test_local_improvement_never_decreases_cut(self):
-        graph = kings_graph(4, 4)
-        problem = MaxCutProblem(graph)
-        start = random_partition(graph, seed=11)
-        improved = greedy_local_improvement(problem, start)
-        assert problem.cut_value(improved) >= problem.cut_value(start)
-
-    def test_local_improvement_validation(self):
-        with pytest.raises(ReproError):
-            greedy_local_improvement(MaxCutProblem(cycle_graph(3)), random_partition(cycle_graph(3)), max_passes=0)
 
     @pytest.mark.parametrize("rows,cols", [(4, 4), (7, 7), (5, 8)])
     def test_kings_reference_cut_counts_cross_row_edges(self, rows, cols):

@@ -25,8 +25,8 @@ import pytest
 
 from repro.campaigns import RunLedger, run_campaign
 from repro.cli import main
+from repro.obs import metrics as obs_metrics
 from repro.obs import (
-    CallbackSink,
     CampaignProjection,
     JsonlFileSink,
     LedgerFollower,
@@ -39,7 +39,6 @@ from repro.obs import (
     project_state,
     render_report,
     render_watch,
-    set_metrics,
 )
 from repro.runtime.jobs import Job
 from repro.runtime.runner import ExperimentRunner
@@ -72,15 +71,22 @@ class AddJob(Job):
         return payload
 
 
+class ListSink(Sink):
+    """Appends every event it receives to ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def emit(self, event):
+        self.events.append(event)
+
+
 @pytest.fixture()
-def fresh_metrics():
+def fresh_metrics(monkeypatch):
     """Isolate the process-global registry for the duration of one test."""
     registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)
+    monkeypatch.setattr(obs_metrics, "_default_registry", registry)
+    yield registry
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +171,8 @@ class TestSinks:
         seen_all, seen_failures = [], []
         router = (
             SinkRouter()
-            .add(CallbackSink(seen_all.append))
-            .add(CallbackSink(seen_failures.append), kinds=["stage_failed"])
+            .add(ListSink(seen_all))
+            .add(ListSink(seen_failures), kinds=["stage_failed"])
         )
         router.emit({"event": "stage_started", "stage": "s"})
         router.emit({"event": "stage_failed", "stage": "s", "error": "boom"})
@@ -184,7 +190,7 @@ class TestSinks:
                 raise RuntimeError("sink down")
 
         received = []
-        router = SinkRouter().add(ExplodingSink()).add(CallbackSink(received.append))
+        router = SinkRouter().add(ExplodingSink()).add(ListSink(received))
         router.emit({"event": "stage_passed", "stage": "s"})  # must not raise
         assert router.errors == 1
         assert "sink down" in router.stats()["last_error"]
@@ -382,7 +388,7 @@ class TestOrchestratorEvents:
 
     def test_sinks_receive_every_recorded_event(self, tmp_path):
         received = []
-        router = SinkRouter().add(CallbackSink(received.append))
+        router = SinkRouter().add(ListSink(received))
         run, ledger = _record_campaign(tmp_path, sinks=router)
         sink_kinds = [event["event"] for event in received]
         ledger_kinds = [event["event"] for event in ledger.events(run.run_id)]

@@ -7,16 +7,13 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graphs import (
     Bipartition,
-    balanced_halves,
     cut_edges,
     cut_size,
-    cycle_graph,
-    internal_edges,
     kings_graph,
     kings_graph_reference_coloring,
     partition_from_coloring_bit,
-    split_graph,
 )
+from graph_builders import cycle_graph
 
 
 class TestBipartition:
@@ -59,24 +56,11 @@ class TestCuts:
         graph = cycle_graph(4)
         partition = Bipartition.from_sets([0, 2], [1, 3])
         assert cut_size(graph, partition) == 4
-        assert len(internal_edges(graph, partition)) == 0
 
     def test_cut_requires_coverage(self):
         graph = cycle_graph(4)
         with pytest.raises(GraphError):
             cut_edges(graph, Bipartition.from_sets([0], [1]))
-
-    def test_internal_plus_cut_equals_total(self):
-        graph = kings_graph(5, 5)
-        partition = balanced_halves(graph)
-        assert cut_size(graph, partition) + len(internal_edges(graph, partition)) == graph.num_edges
-
-    def test_split_graph(self):
-        graph = kings_graph(4, 4)
-        partition = balanced_halves(graph)
-        sub_a, sub_b = split_graph(graph, partition)
-        assert sub_a.num_nodes + sub_b.num_nodes == graph.num_nodes
-        assert sub_a.num_edges + sub_b.num_edges == len(internal_edges(graph, partition))
 
     def test_partition_from_coloring_bit(self):
         coloring = kings_graph_reference_coloring(4, 4)
@@ -96,11 +80,5 @@ class TestCuts:
         graph = kings_graph(6, 6)
         coloring = kings_graph_reference_coloring(6, 6)
         partition = partition_from_coloring_bit(coloring.assignment, bit=1)
-        sub_a, sub_b = split_graph(graph, partition)
-        assert is_bipartite(sub_a)
-        assert is_bipartite(sub_b)
-
-    def test_balanced_halves_sizes(self):
-        graph = kings_graph(5, 5)
-        partition = balanced_halves(graph)
-        assert abs(len(partition.side_a) - len(partition.side_b)) <= 1
+        assert is_bipartite(graph.subgraph(partition.side_a))
+        assert is_bipartite(graph.subgraph(partition.side_b))

@@ -8,11 +8,12 @@ process, across a worker pool, in replica chunks, or from a warm cache.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GraphError
 from repro.analysis.sweep import coupling_strength_sweep
 from repro.core.machine import MSROPM
 from repro.graphs.generators import kings_graph
@@ -80,13 +81,24 @@ class TestGraphSpecs:
             as_graph_spec(42)
 
     def test_as_graph_spec_loads_json_paths_as_graphs(self, tmp_path):
-        from repro.graphs.io import write_json
+        from repro.graphs.io import to_json
 
         path = tmp_path / "board.json"
-        write_json(kings_graph(4, 4), path)
+        path.write_text(to_json(kings_graph(4, 4)), encoding="utf-8")
         spec = as_graph_spec(str(path))
         assert isinstance(spec, ExplicitGraphSpec)
         assert spec.build().num_nodes == 16
+
+    @pytest.mark.parametrize("method", ["fingerprint", "build"])
+    @pytest.mark.parametrize("is_dir", [False, True])
+    def test_unreadable_dimacs_path_raises_graph_error(self, tmp_path, method, is_dir):
+        path = tmp_path / "instance.col"
+        if is_dir:
+            path.mkdir()
+        spec = as_graph_spec(str(path))
+        assert isinstance(spec, DimacsGraphSpec)
+        with pytest.raises(GraphError, match=f"cannot read graph file {re.escape(str(path))}: "):
+            getattr(spec, method)()
 
     def test_dimacs_spec_snapshot_survives_file_edits(self, tmp_path):
         """One spec must hash and build the same content even if the file

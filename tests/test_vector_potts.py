@@ -8,21 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
-from repro.graphs import cycle_graph, kings_graph
-from repro.ising import (
-    IsingProblem,
-    binarize_phases,
-    ising_phase_energy,
-    phase_alignment_error,
-    phase_difference,
-    phases_to_spins,
-    spins_to_phases,
-    target_phases,
-    vector_potts_energy,
-    wrap_phase,
-    PottsProblem,
-    potts_energy_from_phases,
-)
+from repro.graphs import kings_graph
+from repro.ising import IsingProblem, phases_to_spins, vector_potts_energy, wrap_phase
+from graph_builders import cycle_graph
 
 
 class TestPhaseHelpers:
@@ -31,52 +19,14 @@ class TestPhaseHelpers:
         assert np.all(wrapped >= 0.0)
         assert np.all(wrapped < 2 * np.pi)
 
-    def test_phase_difference_signed(self):
-        assert phase_difference(0.1, 2 * np.pi - 0.1) == pytest.approx(0.2, abs=1e-9)
-        assert phase_difference(0.0, np.pi / 2) == pytest.approx(-np.pi / 2)
-
-    def test_phase_difference_half_turn(self):
-        assert abs(phase_difference(0.0, np.pi)) == pytest.approx(np.pi)
-
-    def test_target_phases(self):
-        phases = target_phases(4)
-        assert np.allclose(phases, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
-
-    def test_target_phases_validation(self):
-        with pytest.raises(ReproError):
-            target_phases(1)
-
     def test_spin_phase_round_trip(self):
         spins = np.array([0, 1, 2, 3, 2, 1])
-        phases = spins_to_phases(spins, 4)
+        phases = 2 * np.pi * spins / 4
         assert np.array_equal(phases_to_spins(phases, 4), spins)
 
-    def test_spins_to_phases_validation(self):
-        with pytest.raises(ReproError):
-            spins_to_phases([0, 4], 4)
-
     def test_phases_to_spins_with_offset(self):
-        phases = spins_to_phases([0, 1, 2, 3], 4) + 0.3
+        phases = 2 * np.pi * np.arange(4) / 4 + 0.3
         assert np.array_equal(phases_to_spins(phases, 4, offset=0.3), [0, 1, 2, 3])
-
-    def test_phase_alignment_error_zero_on_grid(self):
-        phases = spins_to_phases([0, 1, 2, 3], 4)
-        assert np.allclose(phase_alignment_error(phases, 4), 0.0)
-
-    def test_phase_alignment_error_bounded(self):
-        rng = np.random.default_rng(0)
-        phases = rng.uniform(0, 2 * np.pi, 100)
-        errors = phase_alignment_error(phases, 4)
-        assert np.all(errors <= np.pi / 4 + 1e-9)
-
-    def test_binarize_phases(self):
-        phases = np.array([0.05, np.pi - 0.05, np.pi + 0.05, 2 * np.pi - 0.05])
-        assert np.array_equal(binarize_phases(phases), [0, 1, 1, 0])
-
-    def test_binarize_phases_with_shifted_grid(self):
-        phases = np.array([np.pi / 2, 3 * np.pi / 2])
-        assert np.array_equal(binarize_phases(phases, shil_phase_offset=np.pi / 2), [0, 1])
-
 
 class TestVectorPottsEnergy:
     def test_uniform_negative_coupling_minimum_at_antiphase(self):
@@ -93,7 +43,8 @@ class TestVectorPottsEnergy:
         spins_dict = problem.random_spins(seed=5)
         spins = np.array([spins_dict[node] for node in graph.nodes])
         phases = np.where(spins == 1, 0.0, np.pi)
-        assert ising_phase_energy(problem, phases) == pytest.approx(problem.energy(spins_dict))
+        energy = vector_potts_energy(graph, phases, coupling_matrix=problem.coupling_matrix())
+        assert energy == pytest.approx(problem.energy(spins_dict))
 
     def test_shape_validation(self):
         with pytest.raises(ReproError):
@@ -110,15 +61,6 @@ class TestVectorPottsEnergy:
         phases = np.array([0.0, np.pi, 0.0])
         explicit = vector_potts_energy(graph, phases, coupling_matrix=problem.coupling_matrix())
         assert explicit == pytest.approx(2.0 * (np.cos(np.pi) + np.cos(np.pi) + np.cos(0.0)))
-
-    def test_potts_energy_from_phases(self):
-        graph = kings_graph(3, 3)
-        problem = PottsProblem.coloring_problem(graph, num_colors=4)
-        from repro.graphs import kings_graph_reference_coloring
-
-        coloring = kings_graph_reference_coloring(3, 3)
-        phases = spins_to_phases(coloring.as_array(graph), 4)
-        assert potts_energy_from_phases(problem, phases) == 0.0
 
     @given(seed=st.integers(min_value=0, max_value=200))
     @settings(max_examples=20, deadline=None)
@@ -138,5 +80,5 @@ class TestVectorPottsEnergy:
         rng = np.random.default_rng(seed)
         phases = rng.uniform(0, 2 * np.pi, 30)
         spins = phases_to_spins(phases, 4)
-        requantized = phases_to_spins(spins_to_phases(spins, 4), 4)
+        requantized = phases_to_spins(2 * np.pi * spins / 4, 4)
         assert np.array_equal(spins, requantized)

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.dynamics import (
-    Trajectory,
-    WaveformSet,
-    phase_to_voltage,
-    reconstruct_waveforms,
-    square_wave,
-)
+from repro.dynamics import Trajectory, WaveformSet, phase_to_voltage, reconstruct_waveforms
 from repro.units import ghz
 
 
@@ -50,17 +44,6 @@ class TestPhaseToVoltage:
             phase_to_voltage(times, np.zeros(10), shape="sawtooth")
         with pytest.raises(SimulationError):
             phase_to_voltage(times, np.zeros(10), frequency=-1.0)
-
-
-class TestSquareWave:
-    def test_levels(self):
-        times = np.linspace(0, 2e-9, 500)
-        wave = square_wave(times, 1e9)
-        assert set(np.round(np.unique(wave), 6)) <= {0.0, 0.5, 1.0}
-
-    def test_frequency_validation(self):
-        with pytest.raises(SimulationError):
-            square_wave(np.zeros(3), 0.0)
 
 
 class TestWaveformReconstruction:
