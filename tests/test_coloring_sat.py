@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SATError
-from repro.graphs import kings_graph
+from repro.graphs import Graph, kings_graph
 from repro.sat import encode_coloring, sat_coloring, solve_cnf
-from graph_builders import complete_graph, cycle_graph
+from graph_builders import complete_graph, cycle_graph, grid_graph
 
 
 class TestEncoding:
@@ -67,3 +67,27 @@ class TestSatColoring:
     def test_complete_graph_needs_n_colors(self):
         assert sat_coloring(complete_graph(4), 3) is None
         assert sat_coloring(complete_graph(4), 4) is not None
+
+
+class TestChromaticNumber:
+    @pytest.mark.parametrize(
+        "graph,expected",
+        [
+            (grid_graph(1, 5), 2),
+            (cycle_graph(6), 2),
+            (cycle_graph(5), 3),
+            (grid_graph(3, 3), 2),
+            (kings_graph(3, 3), 4),
+            (complete_graph(5), 5),
+        ],
+    )
+    def test_known_chromatic_numbers(self, graph, expected):
+        coloring = sat_coloring(graph, expected)
+        assert coloring is not None and coloring.is_proper(graph)
+        assert sat_coloring(graph, expected - 1) is None
+
+    def test_edgeless_graph(self):
+        graph = Graph(nodes=[1, 2, 3])
+        coloring = sat_coloring(graph, 1)
+        assert coloring is not None and coloring.is_proper(graph)
+        assert coloring.used_colors() == {0}

@@ -10,11 +10,16 @@ from repro.graphs import (
     PAPER_PROBLEM_SIZES,
     erdos_renyi_graph,
     kings_graph,
+    kings_graph_reference_coloring,
     random_planar_triangulation,
     random_regular_like_graph,
     is_kings_graph_shape,
 )
-from graph_builders import grid_graph
+from repro.ising import kings_graph_reference_cut
+from graph_builders import complete_graph, cycle_graph, grid_graph
+
+#: Board shapes from a single cell through strips to non-square boards.
+KINGS_SHAPES = [(1, 1), (1, 6), (2, 2), (3, 5), (6, 4)]
 
 
 class TestKingsGraph:
@@ -57,7 +62,53 @@ class TestKingsGraph:
         assert graph.num_nodes == num_nodes
         assert graph.num_nodes == side * side
 
+    @pytest.mark.parametrize("rows,cols", KINGS_SHAPES)
+    def test_edge_count_and_degree_bound(self, rows, cols):
+        graph = kings_graph(rows, cols)
+        assert graph.num_nodes == rows * cols
+        # Horizontal and vertical neighbours plus two diagonals per 2x2 block.
+        horizontal, vertical = rows * (cols - 1), (rows - 1) * cols
+        assert graph.num_edges == horizontal + vertical + 2 * (rows - 1) * (cols - 1)
+        assert max(graph.degrees().values()) <= 8
+
+
+class TestKingsReferenceSolutions:
+    @pytest.mark.parametrize("rows,cols", KINGS_SHAPES)
+    def test_reference_coloring_is_proper(self, rows, cols):
+        graph = kings_graph(rows, cols)
+        coloring = kings_graph_reference_coloring(rows, cols)
+        assert coloring.covers(graph)
+        assert coloring.is_proper(graph)
+        # Every 2x2 block needs four colors; a strip needs two, a cell one.
+        assert len(coloring.used_colors()) == min(rows, 2) * min(cols, 2)
+
+    @pytest.mark.parametrize("rows,cols", KINGS_SHAPES)
+    def test_reference_cut_separates_row_parities(self, rows, cols):
+        # Row-parity striping cuts every edge between adjacent rows: one
+        # vertical per column and two diagonals per column gap.
+        assert kings_graph_reference_cut(rows, cols) == (rows - 1) * (3 * cols - 2)
+
+
 class TestOtherGenerators:
+    def test_grid(self):
+        graph = grid_graph(3, 4)
+        assert graph.num_nodes == 12
+        assert graph.num_edges == 3 * 3 + 2 * 4
+        assert graph.degree((1, 1)) == 4
+
+    def test_cycle(self):
+        graph = cycle_graph(6)
+        assert graph.num_edges == 6
+        assert all(degree == 2 for degree in graph.degrees().values())
+
+    def test_tiny_cycles(self):
+        assert cycle_graph(1).num_edges == 0
+        assert cycle_graph(2).num_edges == 1
+
+    def test_complete(self):
+        graph = complete_graph(5)
+        assert graph.num_edges == 10
+
     def test_erdos_renyi_bounds(self):
         empty = erdos_renyi_graph(10, 0.0, seed=1)
         full = erdos_renyi_graph(10, 1.0, seed=1)
